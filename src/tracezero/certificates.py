@@ -115,7 +115,8 @@ def build_noncommutator(m: int, d: int, points, n: int, field: Field) -> Certifi
 
     ctx = RingCtx(field, m, None)
     x = _certificate_matrix(ctx, n, pts)
-    assert x.trace().is_zero()
+    if not x.trace().is_zero():
+        raise RuntimeError(f"certificate matrix has trace {x.trace()}")
     cert = Certificate(m, d, n, field, tuple(pts), x)
     report = validate_certificate(cert)
     if not report.ok:
@@ -175,8 +176,9 @@ def validate_certificate(cert: Certificate) -> ValidationReport:
         check("matrix shape", False, "not checkable")
         check("trace zero", False, "not checkable")
 
-    check("size bound", m < 3 or n <= 2 ** (2 * m - 3),
-          f"n={n} <= 2^(2m-3)={2 ** (2 * m - 3) if m >= 3 else '-'}")
+    # n <= 2^(2m-3) by bit length, so a huge m never builds the power
+    check("size bound", m < 3 or n <= 1 or (n - 1).bit_length() <= 2 * m - 3,
+          f"n={n} <= 2^{2 * m - 3}" if m >= 3 else f"n={n}, m={m} < 3")
     return ValidationReport(tuple(checks))
 
 

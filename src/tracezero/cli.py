@@ -16,7 +16,13 @@ import sys
 from fractions import Fraction
 
 from . import certificates, oracle, packing, witnesses
-from .errors import BudgetExceeded, Error, MalformedInput, ValidationFailed
+from .errors import (
+    BudgetExceeded,
+    Error,
+    MalformedInput,
+    PreconditionViolated,
+    ValidationFailed,
+)
 from .fields import Field
 from .matrices import Matrix
 from .polynomials import RingCtx
@@ -215,9 +221,7 @@ def cmd_oracle(args) -> int:
         if cert.field.kind != "Fp":
             raise MalformedInput("certificate is over Q; pass --p explicitly")
         p = cert.field.p
-    result = oracle.exhaustive_noncommutator_check(
-        cert, p, budget=args.budget, workers=args.workers,
-        progress_path=args.resume)
+    result = oracle.exhaustive_noncommutator_check(cert, p, budget=args.budget)
     if isinstance(result, oracle.NoWitness):
         _emit_json(
             {
@@ -247,6 +251,12 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    # 4^(m-1) = 2^(2m-2) prints only below 10^limit, Python's int-to-str
+    # digit cap; 10^limit is no power of two, so compare bit lengths
+    limit = sys.get_int_max_str_digits()
+    if limit and 2 * (args.m - 1) >= (10 ** limit).bit_length():
+        raise PreconditionViolated(
+            f"4^(m-1) for m={args.m} has more than {limit} decimal digits")
     set_bound, matrix_bound = packing.upper_bounds(args.m)
     _emit_json(
         {"m": args.m, "set_bound": set_bound, "matrix_bound": matrix_bound},
@@ -315,10 +325,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("oracle", help="exhaustive search against a certificate")
     p.add_argument("--cert", required=True)
     p.add_argument("--p", type=int, help="prime (default: the certificate's)")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--budget", type=int, default=oracle.DEFAULT_PAIR_BUDGET,
                    help="pair budget (default 2^34)")
-    p.add_argument("--resume", help="checkpoint file (workers=1 only)")
     add_out(p)
     p.set_defaults(func=cmd_oracle)
 

@@ -94,7 +94,7 @@ class SetTooSmall(Error):
     pass
 
 
-class PreconditionViolated(Error):
+class PreconditionViolated(Error, ValueError):
     pass
 
 

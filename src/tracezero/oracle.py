@@ -14,14 +14,16 @@ scalar matrices changes neither the commutator nor existence, so a
 completed scan that finds nothing is a proof for the given ring. Matrices
 are ordered entry-row-major with the (1,1) digit most significant, pairs
 B-major; a reported witness is the first pair in that order.
+
+The scan is one sequential pass in that order. Each chunk of B matrices
+meets every C block, the (1,1) commutator entry is matched first, and
+only its survivors go through the other entries. A hit ends the scan, is
+decoded with the same tables, and is re-verified with exact polynomial
+arithmetic.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,23 +32,22 @@ from .certificates import Certificate, _certificate_matrix, validate_certificate
 from .errors import (
     BudgetExceeded,
     InfiniteRing,
-    MalformedInput,
     NoSquareRootOfMinusOne,
     ValidationFailed,
 )
 from .fields import Field
 from .matrices import Matrix, commutator
 from .polynomials import (
-    Poly,
     RingCtx,
     basis_monomials,
     element_decode,
+    element_encode,
     reduce_by_divisor,
     ring_size,
 )
 
 DEFAULT_PAIR_BUDGET = 2**34
-CHECKPOINT_PAIRS = 2**20
+_CHUNK_PAIRS = 2**20
 _TABLE_CAP = 4096
 
 
@@ -98,33 +99,9 @@ class RingTable:
             mul_t[u] = (acc % p) @ radix
         neg_t = (((p - digits) % p) @ radix).astype(np.int32)
 
-        self.digits = digits
         self.add_t = add_t
         self.mul_t = mul_t
-        self.neg_t = neg_t
         self.sub_t = add_t[:, neg_t]
-
-    def projection(self, max_degree: int) -> np.ndarray:
-        """Table dropping all terms of degree >= max_degree from each
-        element; linear, so images of equal elements stay equal."""
-        keep = np.array([1 if sum(m) < max_degree else 0 for m in self.basis],
-                        dtype=np.int64)
-        p = self.ctx.field.p
-        radix = p ** np.arange(len(self.basis), dtype=np.int64)
-        return ((self.digits * keep) @ radix).astype(np.int32)
-
-    def decode(self, idx: int) -> Poly:
-        return element_decode(self.ctx, self.basis, int(idx))
-
-    def encode(self, poly: Poly) -> int:
-        if poly.ctx != self.ctx:
-            raise MalformedInput(f"element context {poly.ctx} differs from {self.ctx}")
-        p = self.ctx.field.p
-        pos = {mono: t for t, mono in enumerate(self.basis)}
-        idx = 0
-        for mono, c in poly.terms.items():
-            idx += c * p ** pos[mono]
-        return idx
 
 
 def pair_count(ctx: RingCtx, n: int) -> int:
@@ -153,8 +130,7 @@ class FoundWitness:
 class _Scan:
     """Shared geometry for one scan of the normalized pair space."""
 
-    def __init__(self, table: RingTable, n: int, target: Matrix,
-                 filter_maxdeg: int | None):
+    def __init__(self, table: RingTable, n: int, target: Matrix):
         self.table = table
         self.n = n
         self.q = table.q
@@ -164,27 +140,20 @@ class _Scan:
         self.pos_of = {ij: t for t, ij in enumerate(self.positions)}
         self.ntotal = self.q ** self.k
         self.weights = [self.q ** (self.k - 1 - t) for t in range(self.k)]
-        self.target_idx = [[table.encode(target.rows[i][j]) for j in range(n)]
-                           for i in range(n)]
-        self.proj = None
-        if filter_maxdeg is not None and table.ctx.truncation is not None \
-                and filter_maxdeg < table.ctx.truncation:
-            self.proj = table.projection(filter_maxdeg)
+        self.target_idx = [[element_encode(table.ctx, table.basis, target.rows[i][j])
+                            for j in range(n)] for i in range(n)]
         self.c_chunk = min(self.ntotal, 4096)
-        self.b_chunk = min(self.ntotal, max(1, CHECKPOINT_PAIRS // self.ntotal))
-        self._c_cache: dict = {}
+        self.b_chunk = min(self.ntotal, max(1, _CHUNK_PAIRS // self.ntotal))
+        # Every B chunk meets the same C blocks, so decode C once; this holds
+        # k * ntotal digits, and ntotal^2 is within the pair budget.
+        c_digits = self.decode_block(0, self.ntotal)
+        self.c_blocks = [(lo, min(lo + self.c_chunk, self.ntotal),
+                          [d[lo:lo + self.c_chunk] for d in c_digits])
+                         for lo in range(0, self.ntotal, self.c_chunk)]
 
     def decode_block(self, lo: int, hi: int) -> list[np.ndarray]:
         idx = np.arange(lo, hi, dtype=np.int64)
         return [(idx // w) % self.q for w in self.weights]
-
-    def c_block(self, lo: int, hi: int) -> list[np.ndarray]:
-        key = (lo, hi)
-        if key not in self._c_cache:
-            if len(self._c_cache) > 64:
-                self._c_cache.clear()
-            self._c_cache[key] = self.decode_block(lo, hi)
-        return self._c_cache[key]
 
     def entry(self, decoded, i: int, j: int, sel=None):
         """Encoded values of matrix entry (i, j) for a decoded block; the
@@ -210,30 +179,20 @@ class _Scan:
         return acc
 
 
-def _scan_b_range(scan: _Scan, b_lo: int, b_hi: int, stop_on_found: bool,
-                  progress: _Progress | None = None, pairs_base: int = 0):
-    """Scan pairs with B index in [b_lo, b_hi) against all C.
+def _scan_pairs(scan: _Scan):
+    """Scan the normalized pair space in order, B-major.
 
-    Returns (first found (b, c) pair or None, cumulative pairs scanned
-    including ``pairs_base``). The scan finishes the b-chunk containing a
-    hit, so the reported pair is the first in global enumeration order
-    within this range.
+    Returns (first (b, c) pair whose commutator is the target, or None;
+    pairs scanned). The scan finishes the b-chunk containing a hit, so the
+    reported pair is the first in enumeration order.
     """
     ntotal = scan.ntotal
-    t_filter = scan.target_idx[0][0]
-    if scan.proj is not None:
-        t_filter = int(scan.proj[t_filter])
-    found = None
-    pairs = pairs_base
-
-    b = b_lo
-    while b < b_hi:
-        b_end = min(b + scan.b_chunk, b_hi)
+    pairs = 0
+    for b in range(0, ntotal, scan.b_chunk):
+        b_end = min(b + scan.b_chunk, ntotal)
         bd = scan.decode_block(b, b_end)
         chunk_hits = []
-        for c_lo in range(0, ntotal, scan.c_chunk):
-            c_hi = min(c_lo + scan.c_chunk, ntotal)
-            cd = scan.c_block(c_lo, c_hi)
+        for c_lo, c_hi, cd in scan.c_blocks:
 
             def bgrid(i, j):
                 v = scan.entry(bd, i, j)
@@ -245,34 +204,24 @@ def _scan_b_range(scan: _Scan, b_lo: int, b_hi: int, stop_on_found: bool,
 
             grid = scan.commutator_entry(bgrid, cgrid, 0, 0,
                                          (b_end - b, c_hi - c_lo))
-            if scan.proj is not None:
-                grid = scan.proj[grid]
-            sb, sc = np.nonzero(grid == t_filter)
+            sb, sc = np.nonzero(grid == scan.target_idx[0][0])
             if sb.size:
                 hit = _full_check(scan, bd, cd, sb, sc)
                 if hit is not None:
                     chunk_hits.append((b + hit[0], c_lo + hit[1]))
         pairs += (b_end - b) * ntotal
-        b = b_end
         if chunk_hits:
-            found = min(chunk_hits)
-            if progress is not None:
-                progress.save(b, pairs, found=found)
-            if stop_on_found:
-                break
-        elif progress is not None:
-            progress.save(b, pairs)
-    return found, pairs
+            return min(chunk_hits), pairs
+    return None, pairs
 
 
 def _full_check(scan: _Scan, bd, cd, sb, sc):
-    """Exact check of every commutator entry on filter survivors; returns
-    the first surviving local (b, c) or None."""
+    """Exact check of the remaining commutator entries on the pairs whose
+    (0,0) entry matches; returns the first surviving local (b, c) or None."""
     n = scan.n
-    skip_first = scan.proj is None  # the filter already was the exact (0,0) check
     for i in range(n):
         for j in range(n):
-            if skip_first and i == 0 and j == 0:
+            if i == 0 and j == 0:
                 continue
             bvals = lambda a, t: scan.entry(bd, a, t, sb)
             cvals = lambda a, t: scan.entry(cd, a, t, sc)
@@ -285,166 +234,53 @@ def _full_check(scan: _Scan, bd, cd, sb, sc):
     return int(sb[0]), int(sc[0])
 
 
-class _Progress:
-    """Resumable checkpoint file, written after every scanned b-chunk
-    (one chunk covers about 2^20 pairs)."""
-
-    def __init__(self, path: str, key: str):
-        self.path = path
-        self.key = key
-        self.next_b = 0
-        self.pairs = 0
-        self.found = None
-        self.done = False
-        if os.path.exists(path):
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    state = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
-                raise MalformedInput(f"bad progress file {path}: {exc}") from None
-            if state.get("key") != key:
-                raise MalformedInput(
-                    f"progress file {path} belongs to a different search")
-            self.next_b = state["next_b"]
-            self.pairs = state["pairs"]
-            self.found = tuple(state["found"]) if state.get("found") else None
-            self.done = state.get("done", False)
-
-    def save(self, next_b: int, pairs: int, found=None, done: bool = False):
-        self.next_b = next_b
-        self.pairs = pairs
-        if found is not None:
-            self.found = tuple(found)
-        self.done = done
-        state = {
-            "key": self.key,
-            "next_b": self.next_b,
-            "pairs": self.pairs,
-            "found": list(self.found) if self.found else None,
-            "done": done,
-        }
-        tmp = self.path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(state, fh)
-        os.replace(tmp, self.path)
-
-
-def _search_key(ctx: RingCtx, n: int, target_idx) -> str:
-    blob = json.dumps(
-        {"p": ctx.field.p, "nvars": ctx.nvars, "N": ctx.truncation,
-         "n": n, "target": target_idx},
-        sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _worker_scan(payload):
-    field = Field.prime(payload["p"])
-    ctx = RingCtx(field, payload["nvars"], payload["N"])
-    table = RingTable(ctx)
-    target = Matrix.from_json(payload["target"], ctx)
-    scan = _Scan(table, payload["n"], target, payload["filter_maxdeg"])
-    found, pairs = _scan_b_range(scan, payload["b_lo"], payload["b_hi"],
-                                 stop_on_found=False)
-    return found, pairs
-
-
-def _run_search(ctx: RingCtx, n: int, target: Matrix, *, budget: int,
-                workers: int, progress_path: str | None,
-                filter_maxdeg: int | None):
-    """Scan the whole normalized pair space; returns (found, pairs)."""
-    total = pair_count(ctx, n)
-    if total > budget:
-        raise BudgetExceeded(
-            f"search needs {total} pairs, budget is {budget}", required=total)
-    table = RingTable(ctx)
-    scan = _Scan(table, n, target, filter_maxdeg)
-
-    if workers > 1:
-        if progress_path is not None:
-            raise ValueError("checkpointing is only supported with workers=1")
-        ranges = []
-        step = max(scan.b_chunk, -(-scan.ntotal // workers))
-        step = -(-step // scan.b_chunk) * scan.b_chunk  # align to chunks
-        lo = 0
-        while lo < scan.ntotal:
-            ranges.append((lo, min(lo + step, scan.ntotal)))
-            lo += step
-        payload_base = {
-            "p": ctx.field.p, "nvars": ctx.nvars, "N": ctx.truncation,
-            "n": n, "target": target.to_json(), "filter_maxdeg": filter_maxdeg,
-        }
-        results = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_worker_scan, {**payload_base, "b_lo": lo, "b_hi": hi})
-                for lo, hi in ranges
-            ]
-            for fut in futures:
-                results.append(fut.result())
-        pairs = sum(r[1] for r in results)
-        hits = [r[0] for r in results if r[0] is not None]
-        return (min(hits) if hits else None), pairs
-
-    progress = None
-    start_b = 0
-    base_pairs = 0
-    if progress_path is not None:
-        key = _search_key(ctx, n, scan.target_idx)
-        progress = _Progress(progress_path, key)
-        if progress.done:
-            return progress.found, progress.pairs
-        start_b = progress.next_b
-        base_pairs = progress.pairs
-        if progress.found is not None:
-            return progress.found, progress.pairs
-
-    found, pairs = _scan_b_range(scan, start_b, scan.ntotal,
-                                 stop_on_found=True, progress=progress,
-                                 pairs_base=base_pairs)
-    if progress is not None:
-        progress.save(scan.ntotal if found is None else progress.next_b,
-                      pairs, found=found, done=True)
-    return found, pairs
-
-
-def _decode_pair(table: RingTable, scan: _Scan, pair):
+def _decode_pair(scan: _Scan, pair):
     b_idx, c_idx = pair
     n = scan.n
+    table = scan.table
 
     def decode_matrix(idx):
         rows = [[table.ctx.zero() for _ in range(n)] for _ in range(n)]
         for t, (i, j) in enumerate(scan.positions):
             digit = (idx // scan.weights[t]) % scan.q
-            rows[i][j] = table.decode(digit)
+            rows[i][j] = element_decode(table.ctx, table.basis, digit)
         return Matrix(table.ctx, rows)
 
     return decode_matrix(b_idx), decode_matrix(c_idx)
 
 
-def exhaustive_commutator_search(a: Matrix, budget: int = DEFAULT_PAIR_BUDGET,
-                                 workers: int = 1,
-                                 progress_path: str | None = None):
+def _run_search(ctx: RingCtx, n: int, target: Matrix, budget: int):
+    """Scan the whole normalized pair space for [B, C] = target.
+
+    Returns (FoundWitness or None, pairs scanned). A found pair is decoded
+    and re-verified with exact polynomial arithmetic.
+    """
+    total = pair_count(ctx, n)  # raises InfiniteRing for infinite rings
+    if total > budget:
+        raise BudgetExceeded(
+            f"search needs {total} pairs, budget is {budget}", required=total)
+    scan = _Scan(RingTable(ctx), n, target)
+    found, pairs = _scan_pairs(scan)
+    if found is None:
+        return None, pairs
+    b, c = _decode_pair(scan, found)
+    if commutator(b, c) != target:
+        raise RuntimeError(f"oracle pair {found} does not decompose the target")
+    return FoundWitness(b=b, c=c, pair_index=found[0] * scan.ntotal + found[1],
+                        pairs_checked=pairs), pairs
+
+
+def exhaustive_commutator_search(a: Matrix, budget: int = DEFAULT_PAIR_BUDGET):
     """First (B, C) in enumeration order with [B, C] = a, or None after a
     complete scan. Searches the normalized space (last diagonal entries
     zero), which preserves existence exactly.
     """
-    ctx = a.ctx
-    ring_size(ctx)  # raises InfiniteRing early
-    found, _pairs = _run_search(ctx, a.n, a, budget=budget, workers=workers,
-                                progress_path=progress_path, filter_maxdeg=None)
-    if found is None:
-        return None
-    table = RingTable(ctx)
-    scan = _Scan(table, a.n, a, None)
-    b, c = _decode_pair(table, scan, found)
-    assert commutator(b, c) == a
-    return b, c
+    found, _pairs = _run_search(a.ctx, a.n, a, budget)
+    return None if found is None else (found.b, found.c)
 
 
 def exhaustive_noncommutator_check(cert: Certificate, p: int,
-                                   budget: int = DEFAULT_PAIR_BUDGET,
-                                   workers: int = 1,
-                                   progress_path: str | None = None):
+                                   budget: int = DEFAULT_PAIR_BUDGET):
     """Check a certificate the hard way over F_p: scan every normalized
     pair in F_p[x_1..x_m]/(x_1..x_m)^(3d+2) for a decomposition of the
     certificate matrix.
@@ -458,22 +294,13 @@ def exhaustive_noncommutator_check(cert: Certificate, p: int,
         raise ValidationFailed(
             "; ".join(f"{c.name}: {c.detail}" for c in report.failures()))
     field = Field.prime(p)
-    trunc = 3 * cert.d + 2
-    ctx = RingCtx(field, cert.m, trunc)
+    ctx = RingCtx(field, cert.m, 3 * cert.d + 2)
     target = _certificate_matrix(ctx, cert.n, cert.points)
-    found, pairs = _run_search(
-        ctx, cert.n, target, budget=budget, workers=workers,
-        progress_path=progress_path, filter_maxdeg=2 * cert.d + 2)
-    if found is None:
-        return NoWitness(pairs_checked=pairs, ring_elements=ring_size(ctx),
-                         matrix_size=cert.n, prime=p)
-    table = RingTable(ctx)
-    scan = _Scan(table, cert.n, target, None)
-    b, c = _decode_pair(table, scan, found)
-    assert commutator(b, c) == target
-    ntotal = scan.ntotal
-    return FoundWitness(b=b, c=c, pair_index=found[0] * ntotal + found[1],
-                        pairs_checked=pairs)
+    found, pairs = _run_search(ctx, cert.n, target, budget)
+    if found is not None:
+        return found
+    return NoWitness(pairs_checked=pairs, ring_elements=ring_size(ctx),
+                     matrix_size=cert.n, prime=p)
 
 
 def quadric_decomposition_check(p: int, i: int | None = None) -> bool:

@@ -55,7 +55,7 @@ def simplex_points(m: int, r: int) -> list[tuple]:
     """All points of the discrete simplex: m nonnegative coordinates with
     sum r, descending lex order."""
     if m < 1 or r < 0:
-        raise ValueError(f"need m >= 1 and r >= 0, got m={m}, r={r}")
+        raise PreconditionViolated(f"need m >= 1 and r >= 0, got m={m}, r={r}")
     return list(_compositions(r, m))
 
 
@@ -115,7 +115,9 @@ class SeparatedSet:
             raise NotSeparated(
                 f"points {pts[i]} and {pts[j]} are at l1 distance "
                 f"{l1_distance(pts[i], pts[j])} <= {2 * self.d}")
-        assert len(pts) <= 4 ** (self.m - 1)
+        if len(pts) > 4 ** (self.m - 1):
+            raise RuntimeError(
+                f"{len(pts)} separated points exceed the ceiling 4^{self.m - 1}")
 
     @property
     def size(self) -> int:
@@ -151,7 +153,7 @@ def interior_candidates(m: int, d: int) -> list[tuple]:
     """Simplex points separated from every corner: all coordinates <= d.
     Descending lex order; the bound is enforced during generation."""
     if m < 1 or d < 0:
-        raise ValueError(f"need m >= 1 and d >= 0, got m={m}, d={d}")
+        raise PreconditionViolated(f"need m >= 1 and d >= 0, got m={m}, d={d}")
     return list(_compositions(2 * d + 1, m, cap=d))
 
 
@@ -178,17 +180,9 @@ class SepGraph:
 def build_graph(m: int, d: int) -> SepGraph:
     verts = interior_candidates(m, d)
     n = len(verts)
-    if n < 256:
-        adj = [0] * n
-        for i in range(n):
-            vi = verts[i]
-            for j in range(i + 1, n):
-                if l1_distance(vi, verts[j]) <= 2 * d:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-        return SepGraph(m, d, tuple(verts), tuple(adj))
-    # Vectorized distance matrix for larger candidate sets; same semantics
-    # as the loop above, just chunked so memory stays bounded.
+    if n == 0:
+        return SepGraph(m, d, (), ())
+    # Distance rows in chunks, so memory stays bounded.
     coords = np.array(verts, dtype=np.int16)
     adj = []
     chunk = max(1, (1 << 22) // (n * m))
@@ -427,7 +421,9 @@ def quadratic_construction(m: int, d: int) -> SeparatedSet:
             p[k + 2 * j - 1] = r + k + 1
             points.append(tuple(p))
     expected = m * (m + 2) // 4 if m % 2 == 0 else (m + 1) ** 2 // 4
-    assert len(points) == expected
+    if len(points) != expected:
+        raise RuntimeError(
+            f"quadratic construction gave {len(points)} points, expected {expected}")
     return SeparatedSet(m, d, tuple(points))
 
 
@@ -435,7 +431,7 @@ def constant_weight_bound(m: int) -> int:
     """Largest number of binary weight-3 words of length m with pairwise
     Hamming distance >= 4, by the classical closed form."""
     if m < 3:
-        raise ValueError(f"need m >= 3, got {m}")
+        raise PreconditionViolated(f"need m >= 3, got {m}")
     base = m * ((m - 1) // 2) // 3
     if m % 6 == 5:
         base -= 1
@@ -448,7 +444,7 @@ def upper_bounds(m: int):
     The matrix bound needs m >= 3; below that it is None.
     """
     if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+        raise PreconditionViolated(f"need m >= 1, got {m}")
     set_bound = 4 ** (m - 1)
     matrix_bound = 2 ** (2 * m - 3) if m >= 3 else None
     return set_bound, matrix_bound

@@ -529,6 +529,8 @@ def poly_from_json(ctx: RingCtx, obj) -> Poly:
     if obj.get("nvars") != ctx.nvars:
         raise MalformedInput(
             f"polynomial has {obj.get('nvars')} variables, context has {ctx.nvars}")
+    if not isinstance(obj["terms"], list):
+        raise MalformedInput(f"polynomial terms must be a list, got {obj['terms']!r}")
     field = ctx.field
     result = ctx.zero()
     for t in obj["terms"]:

@@ -171,7 +171,8 @@ def nilpotent_witness(a: Matrix) -> WitnessPair:
     """
     g = nilpotent_flag(a)  # raises NotNilpotent when a is not
     t = conjugate(g, a)
-    assert t.trace().is_zero()
+    if not t.trace().is_zero():
+        raise RuntimeError(f"conjugated nilpotent matrix has trace {t.trace()}")
     inner = triangular_witness(t)
     h = g.inverse()
     x = conjugate(h, inner.x)

@@ -198,6 +198,49 @@ def test_bound(capsys):
     assert json.loads(out)["matrix_bound"] is None
 
 
+def test_bound_rejects_m_zero(capsys):
+    code, out, err = run(capsys, "bound", "--m", "0")
+    assert code == 65 and out == ""
+    assert "PreconditionViolated" in err
+
+
+def test_pack_rejects_m_zero(capsys):
+    code, out, err = run(capsys, "pack", "--m", "0", "--d", "1")
+    assert code == 65 and out == ""
+    assert "PreconditionViolated" in err
+
+
+def test_bound_rejects_unprintable_m(capsys):
+    # 4^9999 has 6020 decimal digits, past Python's int-to-str limit
+    code, out, err = run(capsys, "bound", "--m", "10000")
+    assert code == 65 and out == ""
+    assert "PreconditionViolated" in err
+
+
+def test_verify_cert_huge_m(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    run(capsys, "certify", "--m", "3", "--d", "0", "--n", "2", "--auto",
+        "--out", os.fspath(cert))
+    obj = json.loads(cert.read_text())
+    obj["m"] = 10000
+    cert.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "verify-cert", os.fspath(cert))
+    assert code == 2
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["size bound"]["passed"] is True
+    assert checks["size bound"]["detail"] == "n=2 <= 2^19997"
+
+
+def test_oracle_rejects_removed_flags(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    run(capsys, "certify", "--m", "3", "--d", "0", "--n", "2", "--auto",
+        "--out", os.fspath(cert))
+    for flags in (["--workers", "2"], ["--resume", os.fspath(tmp_path / "f")]):
+        with pytest.raises(SystemExit) as info:
+            main(["oracle", "--cert", os.fspath(cert), *flags])
+        assert info.value.code == 64
+
+
 def test_out_is_atomic(tmp_path, capsys):
     target = tmp_path / "result.json"
     code, out, _ = run(capsys, "bound", "--m", "3", "--out", os.fspath(target))

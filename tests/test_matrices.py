@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from tracezero.errors import NotNilpotent, ShapeMismatch, SingularBasis
+from tracezero.errors import MalformedInput, NotNilpotent, ShapeMismatch, SingularBasis
 from tracezero.fields import Field
 from tracezero.matrices import (
     FlagBasis,
@@ -204,6 +204,13 @@ def test_matrix_json_round_trip():
         for _ in range(30):
             a = rand_matrix(rng, ctx, rng.randint(1, 3))
             assert Matrix.from_json(a.to_json()) == a
+
+
+def test_from_json_rejects_non_list_terms():
+    obj = {"ctx": {"field": {"kind": "Fp", "p": 2}, "nvars": 0},
+           "entries": [[{"terms": 5, "nvars": 0}]], "n": 1}
+    with pytest.raises(MalformedInput):
+        Matrix.from_json(obj)
 
 
 def test_commutator_elementary_matrices():

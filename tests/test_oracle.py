@@ -6,7 +6,6 @@ parameter sets and compares existence answers with the fast path.
 """
 
 import itertools
-import os
 import random
 
 import pytest
@@ -23,7 +22,7 @@ from tracezero.oracle import (
     pair_count,
     quadric_decomposition_check,
 )
-from tracezero.polynomials import RingCtx, enumerate_ring, ring_size
+from tracezero.polynomials import RingCtx, element_encode, enumerate_ring, ring_size
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
@@ -148,12 +147,11 @@ def test_sampled_no_witness_spot_check():
     cert = build_noncommutator(3, 0, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 2, F2)
     ctx = RingCtx(F2, 3, 2)
     target = _certificate_matrix(ctx, 2, list(cert.points))
-    table = RingTable(ctx)
-    scan = _Scan(table, 2, target, None)
+    scan = _Scan(RingTable(ctx), 2, target)
     rng = random.Random(101)
     for _ in range(400):
         pair = (rng.randrange(scan.ntotal), rng.randrange(scan.ntotal))
-        b, c = _decode_pair(table, scan, pair)
+        b, c = _decode_pair(scan, pair)
         # normalization pins the bottom-right entries at zero
         assert b.entry(1, 1).is_zero() and c.entry(1, 1).is_zero()
         assert commutator(b, c) != target
@@ -166,44 +164,35 @@ def test_decode_pair_round_trip():
     ctx = RingCtx(F2, 2, 2)
     table = RingTable(ctx)
     target = Matrix.zeros(ctx, 2)
-    scan = _Scan(table, 2, target, None)
+    scan = _Scan(table, 2, target)
     rng = random.Random(103)
     for _ in range(200):
         code = rng.randrange(scan.ntotal)
-        b, _ = _decode_pair(table, scan, (code, 0))
-        digits = [table.encode(b.rows[i][j]) for (i, j) in scan.positions]
+        b, _ = _decode_pair(scan, (code, 0))
+        digits = [element_encode(ctx, table.basis, b.rows[i][j])
+                  for (i, j) in scan.positions]
         rebuilt = sum(d * w for d, w in zip(digits, scan.weights))
         assert rebuilt == code
 
 
-def test_checkpoint_resume(tmp_path):
-    cert = build_noncommutator(3, 0, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 2, F2)
-    ck = os.fspath(tmp_path / "progress.json")
-    first = exhaustive_noncommutator_check(cert, 2, progress_path=ck)
-    assert isinstance(first, NoWitness)
-    assert os.path.exists(ck)
-    # a finished checkpoint short-circuits the whole search
-    second = exhaustive_noncommutator_check(cert, 2, progress_path=ck)
-    assert isinstance(second, NoWitness)
-    assert second.pairs_checked == first.pairs_checked
+def test_found_witness_builds_one_table(monkeypatch):
+    # a found pair is decoded with the tables of the scan that found it
+    from tracezero import oracle
 
+    builds = []
+    real_init = oracle.RingTable.__init__
 
-def test_checkpoint_rejects_other_search(tmp_path):
-    from tracezero.errors import MalformedInput
+    def counting_init(self, ctx):
+        builds.append(ctx)
+        real_init(self, ctx)
 
-    cert2 = build_noncommutator(3, 0, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 2, F2)
-    ck = os.fspath(tmp_path / "progress.json")
-    exhaustive_noncommutator_check(cert2, 2, progress_path=ck)
-    with pytest.raises(MalformedInput):
-        exhaustive_noncommutator_check(cert2, 3, budget=2 ** 40, progress_path=ck)
-
-
-def test_workers_match_single_thread():
-    cert = build_noncommutator(3, 0, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 2, F2)
-    lone = exhaustive_noncommutator_check(cert, 2)
-    multi = exhaustive_noncommutator_check(cert, 2, workers=2)
-    assert isinstance(lone, NoWitness) and isinstance(multi, NoWitness)
-    assert lone.pairs_checked == multi.pairs_checked
+    monkeypatch.setattr(oracle.RingTable, "__init__", counting_init)
+    ctx = RingCtx(F2, 3, 2)
+    x, y, _ = ctx.gens()
+    zero = ctx.zero()
+    a = Matrix.from_rows(ctx, [[zero, x], [y, zero]])
+    assert exhaustive_commutator_search(a) is not None
+    assert len(builds) == 1
 
 
 def test_budget_guard_precedes_work():
@@ -271,8 +260,7 @@ def test_shuffled_sample_rerun_finds_nothing():
     cert = build_noncommutator(3, 0, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 2, F2)
     ctx = RingCtx(F2, 3, 2)
     target = _certificate_matrix(ctx, 2, cert.points)
-    table = RingTable(ctx)
-    scan = _Scan(table, 2, target, None)
+    scan = _Scan(RingTable(ctx), 2, target)
     rng = random.Random(77)
     nb = nc = 412  # 412^2 = 169744 pairs, about 1% of 4096^2
     bsel = np.array(rng.sample(range(scan.ntotal), nb), dtype=np.int64)

@@ -159,6 +159,19 @@ def test_build_graph_shape():
     g5 = build_graph(5, 1)
     assert g5.vertex_count == 10
     assert g5.edge_count == 30
+    # every adjacency row against plain l1 distances, empty interiors included
+    empty = 0
+    for m in range(1, 7):
+        for d in range(0, 4):
+            g = build_graph(m, d)
+            assert g.vertices == tuple(interior_candidates(m, d))
+            assert len(g.adjacency) == g.vertex_count
+            empty += g.vertex_count == 0
+            for i, vi in enumerate(g.vertices):
+                row = sum(1 << j for j, vj in enumerate(g.vertices)
+                          if j != i and l1_distance(vi, vj) <= 2 * d)
+                assert g.adjacency[i] == row, (m, d, i)
+    assert empty > 0
 
 
 def test_mis_against_brute_force():
