@@ -19,15 +19,13 @@ from dataclasses import dataclass
 from .errors import (
     BadDimensions,
     MalformedInput,
-    NotSeparated,
     TooFewPoints,
     ValidationFailed,
-    WrongSimplex,
 )
 from .fields import Field
 from .matrices import Matrix
-from .packing import is_d_separated, l1_distance
-from .polynomials import RingCtx, monomial_of_point
+from .packing import check_simplex_points, l1_distance, simplex_point_fault
+from .polynomials import RingCtx
 
 
 @dataclass(frozen=True)
@@ -75,10 +73,10 @@ class ValidationReport:
 def _certificate_matrix(ctx: RingCtx, n: int, points) -> Matrix:
     rows = [[ctx.zero() for _ in range(n)] for _ in range(n)]
     for j in range(n):
-        rows[0][j] = monomial_of_point(ctx, points[j])
+        rows[0][j] = ctx.monomial(points[j])
     for i in range(1, n):
-        rows[i][0] = monomial_of_point(ctx, points[n + i - 1])
-    rows[n - 1][n - 1] = -monomial_of_point(ctx, points[0])
+        rows[i][0] = ctx.monomial(points[n + i - 1])
+    rows[n - 1][n - 1] = -ctx.monomial(points[0])
     return Matrix(ctx, rows)
 
 
@@ -98,20 +96,7 @@ def build_noncommutator(m: int, d: int, points, n: int, field: Field) -> Certifi
     if len(pts) < 2 * n - 1:
         raise TooFewPoints(f"need {2 * n - 1} points for n = {n}, have {len(pts)}")
     pts = pts[: 2 * n - 1]
-    r = 2 * d + 1
-    for p in pts:
-        if len(p) != m:
-            raise WrongSimplex(f"point {p} does not have {m} coordinates")
-        if any(not isinstance(c, int) or isinstance(c, bool) or c < 0 for c in p):
-            raise WrongSimplex(f"point {p} has a bad coordinate")
-        if sum(p) != r:
-            raise WrongSimplex(f"point {p} has coordinate sum {sum(p)}, expected {r}")
-    ok, pair = is_d_separated(pts, 2 * d)
-    if not ok:
-        i, j = pair
-        raise NotSeparated(
-            f"points {pts[i]} and {pts[j]} are at l1 distance "
-            f"{l1_distance(pts[i], pts[j])} <= {2 * d}")
+    check_simplex_points(m, d, pts)
 
     ctx = RingCtx(field, m, None)
     x = _certificate_matrix(ctx, n, pts)
@@ -137,18 +122,15 @@ def validate_certificate(cert: Certificate) -> ValidationReport:
           f"{len(cert.points)} points for n={n}")
 
     r = 2 * d + 1
-    bad = [p for p in cert.points
-           if len(p) != m or any(not isinstance(c, int) or c < 0 for c in p)
-           or sum(p) != r]
+    bad = [p for p in cert.points if simplex_point_fault(m, d, p)]
     check("simplex membership", not bad,
           f"{len(bad)} points outside the sum-{r} simplex" if bad else f"sum {r}")
 
     if not bad and len(cert.points) >= 2:
-        sep, pair = is_d_separated(cert.points, 2 * d)
-        dists = [l1_distance(p, q)
-                 for i, p in enumerate(cert.points)
-                 for q in cert.points[i + 1:]]
-        mind = min(dists)
+        mind = min(l1_distance(p, q)
+                   for i, p in enumerate(cert.points)
+                   for q in cert.points[i + 1:])
+        sep = mind > 2 * d
         check("separation", sep, f"min pairwise distance {mind} > {2 * d}")
         # equal-sum points sit at even distances, so separation is
         # equivalently distance >= 2d + 2
@@ -202,7 +184,7 @@ def certificate_from_json(text: str, validate: bool = True) -> Certificate:
     hypothesis suite runs and failures raise ValidationFailed."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise MalformedInput(f"certificate is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise MalformedInput("certificate JSON must be an object")

@@ -12,8 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
-from fractions import Fraction
 
 from . import certificates, oracle, packing, witnesses
 from .errors import (
@@ -56,13 +56,20 @@ def _emit_json(obj, out_path: str | None):
     _emit(json.dumps(obj, sort_keys=True, separators=(",", ":")), out_path)
 
 
-def _read_json(path: str):
+def _read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return fh.read()
     except OSError as exc:
         raise MalformedInput(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bytes that are not UTF-8
+        raise MalformedInput(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def _read_json(path: str):
+    try:
+        return json.loads(_read_text(path))
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise MalformedInput(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -70,12 +77,11 @@ def _parse_field(text: str) -> Field:
     t = text.strip()
     if t.upper() == "Q":
         return Field.rationals()
-    for prefix in ("Fp", "fp", "F", "f"):
-        if t.startswith(prefix) and t[len(prefix):].isdigit():
-            return Field.prime(int(t[len(prefix):]))
-    if t.isdigit():
-        return Field.prime(int(t))
-    raise MalformedInput(f"cannot parse field {text!r}; use Q, F<p>, or a prime")
+    # 20 digits is far past any modulus below 2^31 and far below int()'s limit
+    match = re.fullmatch(r"(?:[Ff]p?)?([0-9]{1,20})", t)
+    if match is None:
+        raise MalformedInput(f"cannot parse field {text!r}; use Q, F<p>, or a prime")
+    return Field.prime(int(match.group(1)))
 
 
 # -- pack ---------------------------------------------------------------------
@@ -110,9 +116,8 @@ def _table_cells(m_values, d_values, budget):
     for m in m_values:
         for d in d_values:
             sep, optimal = packing.best_separated_set(m, d, budget)
-            n = (sep.size + 1) // 2
-            cells.append({"m": m, "d": d, "size": sep.size,
-                          "optimal": optimal, "n": n})
+            cells.append({"m": m, "d": d, "size": sep.size, "optimal": optimal,
+                          "n": packing.matrix_size_from_set(sep)})
     return cells
 
 
@@ -167,8 +172,7 @@ def cmd_witness(args) -> int:
     elif args.mode == "hollow":
         if not args.clique:
             raise MalformedInput("hollow mode needs --clique r1,r2,...")
-        elements = [Fraction(tok) if a.ctx.field.kind == "Q" else int(tok)
-                    for tok in args.clique.split(",")]
+        elements = [a.ctx.field.from_str(tok) for tok in args.clique.split(",")]
         clique = witnesses.verify_clique(elements, a.ctx)
         pair = witnesses.hollow_witness(a, clique)
     else:
@@ -185,7 +189,7 @@ def cmd_certify(args) -> int:
     if args.set:
         obj = _read_json(args.set)
         raw = obj["points"] if isinstance(obj, dict) and "points" in obj else obj
-        if not isinstance(raw, list):
+        if not isinstance(raw, list) or not all(isinstance(p, list) for p in raw):
             raise MalformedInput(f"{args.set} does not hold a point list")
         points = [tuple(p) for p in raw]
     elif args.auto:
@@ -202,9 +206,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_verify_cert(args) -> int:
-    with open(args.certificate, encoding="utf-8") as fh:
-        text = fh.read()
-    cert = certificates.certificate_from_json(text, validate=False)
+    cert = certificates.certificate_from_json(_read_text(args.certificate),
+                                              validate=False)
     report = certificates.validate_certificate(cert)
     _emit_json(report.to_json(), args.out)
     return EXIT_OK if report.ok else EXIT_FALSIFIED
@@ -214,8 +217,7 @@ def cmd_verify_cert(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    with open(args.cert, encoding="utf-8") as fh:
-        cert = certificates.certificate_from_json(fh.read())
+    cert = certificates.certificate_from_json(_read_text(args.cert))
     p = args.p
     if p is None:
         if cert.field.kind != "Fp":

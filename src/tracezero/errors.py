@@ -77,10 +77,6 @@ class DifferenceNotAUnit(Error):
     pass
 
 
-class NonInvertibleDifference(Error):
-    pass
-
-
 # point packing
 class DimensionMismatch(Error):
     pass

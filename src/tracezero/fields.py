@@ -9,14 +9,19 @@ operations; the values themselves stay unwrapped.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
-from .errors import DivisionByZero, FieldMismatch, MalformedInput
+from .errors import DivisionByZero, MalformedInput, PreconditionViolated
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # residue products must stay exact in 64-bit intermediates used elsewhere
 MAX_MODULUS = 2**31
+
+# the only scalar text forms: an integer or a quotient of integers; ASCII
+# digits only, so Fraction's decimal and exponent forms never reach it
+_SCALAR_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def is_prime(n: int) -> bool:
@@ -47,7 +52,7 @@ class Field:
     """The rationals (kind ``"Q"``) or a prime field (kind ``"Fp"``).
 
     The modulus of an F_p field is verified prime at construction and must
-    be below 2^31.
+    be below 2^31; any bad argument raises PreconditionViolated.
     """
 
     __slots__ = ("kind", "p")
@@ -55,16 +60,17 @@ class Field:
     def __init__(self, kind: str, p: int | None = None):
         if kind == "Q":
             if p is not None:
-                raise ValueError("the rationals take no modulus")
+                raise PreconditionViolated("the rationals take no modulus")
         elif kind == "Fp":
             if not isinstance(p, int) or isinstance(p, bool):
-                raise ValueError("prime field modulus must be an int")
+                raise PreconditionViolated("prime field modulus must be an int")
             if p < 2 or p >= MAX_MODULUS:
-                raise ValueError(f"modulus must satisfy 2 <= p < 2^31, got {p}")
+                raise PreconditionViolated(
+                    f"modulus must satisfy 2 <= p < 2^31, got {p}")
             if not is_prime(p):
-                raise ValueError(f"modulus {p} is not prime")
+                raise PreconditionViolated(f"modulus {p} is not prime")
         else:
-            raise ValueError(f"unknown field kind {kind!r}")
+            raise PreconditionViolated(f"unknown field kind {kind!r}")
         self.kind = kind
         self.p = p
 
@@ -100,16 +106,6 @@ class Field:
             return v % self.p
         raise ValueError(f"cannot coerce {v!r} into F_{self.p}")
 
-    def check(self, v):
-        """Validate that ``v`` is already a normalized element; return it."""
-        if self.kind == "Q":
-            if isinstance(v, Fraction):
-                return v
-        else:
-            if isinstance(v, int) and not isinstance(v, bool) and 0 <= v < self.p:
-                return v
-        raise FieldMismatch(f"{v!r} is not an element of {self}")
-
     # -- arithmetic ------------------------------------------------------
 
     def add(self, a, b):
@@ -134,15 +130,6 @@ class Field:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def arith(self, a, b, op: str):
-        """Dispatch one of '+', '-', '*', '/' on already-coerced elements."""
-        a = self.check(a)
-        b = self.check(b)
-        table = {"+": self.add, "-": self.sub, "*": self.mul, "/": self.div}
-        if op not in table:
-            raise ValueError(f"unknown operation {op!r}")
-        return table[op](a, b)
-
     def is_zero(self, a) -> bool:
         return a == 0
 
@@ -157,7 +144,11 @@ class Field:
         return str(a)
 
     def from_str(self, s: str):
+        """Parse ``[+-]digits`` or ``[+-]digits/digits``; anything else,
+        and any digit run past Python's int-to-str limit, is MalformedInput."""
         s = s.strip()
+        if not _SCALAR_RE.fullmatch(s):
+            raise MalformedInput(f"bad {self} element {s!r}")
         try:
             if self.kind == "Q":
                 return Fraction(s)

@@ -1,6 +1,8 @@
 """Dense square matrices over a ring context, plus the field-level linear
 algebra needed by the witness constructions: exact kernels, inverses, and
-the basis flag that triangularizes a nilpotent matrix.
+the basis flag that triangularizes a nilpotent matrix. All three come from
+one row reduction, :func:`_rref`; the flag keeps the pivot columns of the
+stacked kernel bases of the matrix's powers.
 
 Matrix entries are :class:`~tracezero.polynomials.Poly` values sharing one
 context. Division never happens at the matrix level; operations that need
@@ -164,8 +166,10 @@ class Matrix:
                 raise MalformedInput("matrix object lacks a ring context")
             ctx = RingCtx.from_json(obj["ctx"])
         entries = obj["entries"]
+        if not isinstance(entries, list):
+            raise MalformedInput(f"matrix entries must be a list, got {entries!r}")
         n = obj.get("n", len(entries))
-        if not isinstance(entries, list) or len(entries) != n:
+        if len(entries) != n:
             raise MalformedInput(f"matrix body does not match n={n}")
         rows = []
         for r in entries:
@@ -188,10 +192,6 @@ class Matrix:
 def commutator(a: Matrix, b: Matrix) -> Matrix:
     """[a, b] = a b - b a."""
     return a * b - b * a
-
-
-def trace(a: Matrix) -> Poly:
-    return a.trace()
 
 
 # -- exact linear algebra over the coefficient field ------------------------
@@ -244,17 +244,6 @@ def _kernel(field: Field, rows: list[list], ncols: int) -> list[list]:
     return basis
 
 
-def _invert(field: Field, rows: list[list]):
-    """Inverse by Gauss-Jordan on [rows | I]; None when singular."""
-    n = len(rows)
-    aug = [list(r) + [field.one() if i == j else field.zero() for j in range(n)]
-           for i, r in enumerate(rows)]
-    reduced, pivots = _rref(field, aug, n)
-    if len(pivots) != n:
-        return None
-    return [r[n:] for r in reduced]
-
-
 def kernel_basis(a: Matrix) -> list[list]:
     """Kernel of a constant matrix as a list of field-scalar vectors."""
     return _kernel(a.ctx.field, a.constant_rows(), a.n)
@@ -275,13 +264,16 @@ class FlagBasis:
             if len(r) != n:
                 raise ShapeMismatch("flag basis must be square")
         rows = [[field.coerce(v) for v in r] for r in rows]
-        inv = _invert(field, rows)
-        if inv is None:
+        # the inverse by Gauss-Jordan on [rows | I]
+        aug = [r + [field.one() if i == j else field.zero() for j in range(n)]
+               for i, r in enumerate(rows)]
+        reduced, pivots = _rref(field, aug, n)
+        if len(pivots) != n:
             raise SingularBasis("basis matrix is singular")
         self.field = field
         self.n = n
         self.rows = rows
-        self._inv_rows = inv
+        self._inv_rows = [r[n:] for r in reduced]
 
     def inverse(self) -> FlagBasis:
         return FlagBasis(self.field, self._inv_rows)
@@ -316,58 +308,33 @@ def _is_strictly_upper(a: Matrix) -> bool:
 def nilpotent_flag(a: Matrix) -> FlagBasis:
     """A basis g with g a g^{-1} strictly upper triangular.
 
-    Builds the kernel filtration ker a <= ker a^2 <= ... and refines it to
-    a full basis: vectors of the i-th layer land inside the span of the
-    earlier ones under a, which is exactly strict triangularity. Kernel
-    complements are picked greedily in the deterministic order the kernel
-    bases come in.
+    Stacks the kernel bases of a, a^2, ... as columns, in the order
+    :func:`_kernel` gives them, up to the first power whose kernel is
+    everything; none by a^n means a is not nilpotent. The pivot columns
+    of that stack are the vectors independent of those before them, a
+    full basis refining the filtration ker a <= ker a^2 <= ... . Each
+    layer lands inside the span of the earlier ones under a, which is
+    exactly strict triangularity.
     """
     field = a.ctx.field
     F = a.constant_rows()
     n = a.n
 
-    # nilpotency first, by repeated squaring past n
-    S = F
-    e = 1
-    while e < n:
-        S = _field_matmul(field, S, S)
-        e *= 2
-    if any(not field.is_zero(v) for r in S for v in r):
-        raise NotNilpotent(f"a^{e} != 0 for the {n}x{n} input")
-
-    chosen: list[list] = []
-    span_rows: list[list] = []  # row-echelon view of the chosen vectors
-
-    def try_add(v) -> bool:
-        w = list(v)
-        for row in span_rows:
-            lead = next(i for i, x in enumerate(row) if not field.is_zero(x))
-            if not field.is_zero(w[lead]):
-                f = field.div(w[lead], row[lead])
-                w = [field.sub(x, field.mul(f, y)) for x, y in zip(w, row)]
-        if all(field.is_zero(x) for x in w):
-            return False
-        span_rows.append(w)
-        span_rows.sort(
-            key=lambda r: next(i for i, x in enumerate(r) if not field.is_zero(x))
-        )
-        chosen.append(list(v))
-        return True
-
+    candidates: list[list] = []
     power = F
-    while len(chosen) < n:
-        for v in _kernel(field, power, n):
-            if len(chosen) == n:
-                break
-            try_add(v)
+    for _ in range(n):
+        kernel = _kernel(field, power, n)
+        candidates.extend(kernel)
+        if len(kernel) == n:
+            break
         power = _field_matmul(field, power, F)
+    else:
+        raise NotNilpotent(f"a^{n} != 0 for the {n}x{n} input")
+    stacked = [[v[i] for v in candidates] for i in range(n)]
+    _, pivots = _rref(field, stacked, len(candidates))
 
     # columns of p are the flag-adapted basis; g is its inverse
-    p_rows = [[chosen[j][i] for j in range(n)] for i in range(n)]
-    p_inv = _invert(field, p_rows)
-    if p_inv is None:
-        raise SingularBasis("flag refinement produced a singular basis")
-    g = FlagBasis(field, p_inv)
+    g = FlagBasis(field, [[stacked[i][c] for c in pivots] for i in range(n)]).inverse()
 
     conj = conjugate(g, a)
     if not _is_strictly_upper(conj):

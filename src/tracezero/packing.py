@@ -7,7 +7,10 @@ points of equal coordinate sum are always an even l1 distance apart, that
 is the same as distance >= 2d + 2. Corner points (all weight on one
 coordinate) can always be forced into a maximum set, which reduces the
 search to an independent-set problem on the interior candidates (all
-coordinates <= d) with edges at distance <= 2d.
+coordinates <= d) with edges at distance <= 2d. Simplex points are listed
+by :func:`tracezero.polynomials.compositions`, the enumerator behind
+monomial bases too, and :func:`check_simplex_points` is the one check of
+membership and separation, shared with `build_noncommutator`.
 
 The independent-set solver is an exact branch and bound over bitmask
 vertex sets: branch on the highest-degree remaining vertex (lex-least on
@@ -32,23 +35,7 @@ from .errors import (
     SetTooSmall,
     WrongSimplex,
 )
-
-
-def _compositions(total: int, parts: int, cap: int | None = None):
-    """Tuples of ``parts`` nonnegative ints summing to ``total``, each at
-    most ``cap``, in descending lexicographic order."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        if cap is None or total <= cap:
-            yield (total,)
-        return
-    hi = total if cap is None else min(total, cap)
-    for first in range(hi, -1, -1):
-        for rest in _compositions(total - first, parts - 1, cap):
-            yield (first,) + rest
+from .polynomials import compositions
 
 
 def simplex_points(m: int, r: int) -> list[tuple]:
@@ -56,7 +43,7 @@ def simplex_points(m: int, r: int) -> list[tuple]:
     sum r, descending lex order."""
     if m < 1 or r < 0:
         raise PreconditionViolated(f"need m >= 1 and r >= 0, got m={m}, r={r}")
-    return list(_compositions(r, m))
+    return list(compositions(r, m))
 
 
 def l1_distance(a, b) -> int:
@@ -74,6 +61,34 @@ def is_d_separated(points, d: int):
             if l1_distance(pts[i], pts[j]) <= d:
                 return False, (i, j)
     return True, None
+
+
+def simplex_point_fault(m: int, d: int, p) -> str | None:
+    """Why the tuple ``p`` is not a point of the sum-(2d+1) simplex (m
+    nonnegative int coordinates, bools excluded), or None if it is."""
+    if len(p) != m:
+        return f"does not have {m} coordinates"
+    if any(not isinstance(c, int) or isinstance(c, bool) or c < 0 for c in p):
+        return "has a bad coordinate"
+    if sum(p) != 2 * d + 1:
+        return f"has coordinate sum {sum(p)}, expected {2 * d + 1}"
+    return None
+
+
+def check_simplex_points(m: int, d: int, points) -> None:
+    """Raise WrongSimplex unless every tuple in ``points`` is a simplex
+    point (:func:`simplex_point_fault`), then NotSeparated unless all
+    pairwise l1 distances exceed 2d; a repeat sits at distance 0."""
+    for p in points:
+        fault = simplex_point_fault(m, d, p)
+        if fault:
+            raise WrongSimplex(f"point {p} {fault}")
+    ok, pair = is_d_separated(points, 2 * d)
+    if not ok:
+        i, j = pair
+        raise NotSeparated(
+            f"points {points[i]} and {points[j]} are at l1 distance "
+            f"{l1_distance(points[i], points[j])} <= {2 * d}")
 
 
 def corner_points(m: int, d: int) -> list[tuple]:
@@ -95,26 +110,9 @@ class SeparatedSet:
     points: tuple
 
     def __post_init__(self):
-        r = 2 * self.d + 1
         pts = tuple(tuple(p) for p in self.points)
         object.__setattr__(self, "points", pts)
-        seen = set()
-        for p in pts:
-            if len(p) != self.m:
-                raise WrongSimplex(f"point {p} does not have {self.m} coordinates")
-            if any(not isinstance(c, int) or c < 0 for c in p):
-                raise WrongSimplex(f"point {p} has a bad coordinate")
-            if sum(p) != r:
-                raise WrongSimplex(f"point {p} has coordinate sum {sum(p)}, expected {r}")
-            if p in seen:
-                raise NotSeparated(f"point {p} repeats")
-            seen.add(p)
-        ok, pair = is_d_separated(pts, 2 * self.d)
-        if not ok:
-            i, j = pair
-            raise NotSeparated(
-                f"points {pts[i]} and {pts[j]} are at l1 distance "
-                f"{l1_distance(pts[i], pts[j])} <= {2 * self.d}")
+        check_simplex_points(self.m, self.d, pts)
         if len(pts) > 4 ** (self.m - 1):
             raise RuntimeError(
                 f"{len(pts)} separated points exceed the ceiling 4^{self.m - 1}")
@@ -154,7 +152,7 @@ def interior_candidates(m: int, d: int) -> list[tuple]:
     Descending lex order; the bound is enforced during generation."""
     if m < 1 or d < 0:
         raise PreconditionViolated(f"need m >= 1 and d >= 0, got m={m}, d={d}")
-    return list(_compositions(2 * d + 1, m, cap=d))
+    return list(compositions(2 * d + 1, m, cap=d))
 
 
 @dataclass(frozen=True)
@@ -231,7 +229,7 @@ def _branch_vertex(adj, p: int) -> int:
     return best_v
 
 
-def _greedy_fill(adj, n: int, mask: int, order) -> int:
+def _greedy_fill(adj, mask: int, order) -> int:
     """Extend the independent set ``mask`` greedily along ``order``."""
     for v in order:
         bit = 1 << v
@@ -240,7 +238,7 @@ def _greedy_fill(adj, n: int, mask: int, order) -> int:
     return mask
 
 
-def _swap_improve(adj, n: int, full: int, cur: int) -> int:
+def _swap_improve(adj, full: int, cur: int) -> int:
     """Local optimum under two moves: add any free vertex, and the
     (1,2)-swap that trades one member for two nonadjacent outsiders whose
     only conflict is that member."""
@@ -281,7 +279,7 @@ def _ils_lower_bound(adj, n: int, deadline, seed: int = 2024):
     rng = random.Random(seed)
     full = (1 << n) - 1
     order = list(range(n))
-    cur = _swap_improve(adj, n, full, _greedy_fill(adj, n, 0, order))
+    cur = _swap_improve(adj, full, _greedy_fill(adj, 0, order))
     best = cur
     iters = 1200 if n <= 1200 else (150 if n <= 3000 else 12)
     for _ in range(iters):
@@ -290,7 +288,7 @@ def _ils_lower_bound(adj, n: int, deadline, seed: int = 2024):
         v = rng.randrange(n)
         forced = (cur & ~adj[v]) | (1 << v)
         rng.shuffle(order)
-        cand = _swap_improve(adj, n, full, _greedy_fill(adj, n, forced, order))
+        cand = _swap_improve(adj, full, _greedy_fill(adj, forced, order))
         if cand.bit_count() >= cur.bit_count():
             cur = cand
         if cur.bit_count() > best.bit_count():

@@ -12,13 +12,17 @@ In a truncated context every product discards terms of total degree >= N
 as they are formed, never materializing them. With an F_p coefficient
 field such a context is a finite ring with p^B elements, where B counts
 the monomials of degree below N.
+
+Exponent tuples of one total degree come from :func:`compositions`, the
+package's one enumerator of integer compositions; the packing layer draws
+its simplex points from it too.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
+import sys
 
 from .errors import (
     ContextMismatch,
@@ -102,11 +106,6 @@ class RingCtx:
                 continue
             out[mono] = c
         return Poly(self, out)
-
-    # -- variants ----------------------------------------------------------
-
-    def with_truncation(self, N: int | None) -> RingCtx:
-        return RingCtx(self.field, self.nvars, N)
 
     # -- comparisons and serialization --------------------------------------
 
@@ -301,11 +300,6 @@ def project(p: Poly, target: RingCtx) -> Poly:
     return target.make(dict(p.terms))
 
 
-def monomial_of_point(ctx: RingCtx, point) -> Poly:
-    """x^s for a lattice point s (used to turn point sets into matrix entries)."""
-    return ctx.monomial(tuple(point))
-
-
 def reduce_by_divisor(p: Poly, g: Poly) -> Poly:
     """Remainder of ``p`` on division by the single divisor ``g`` under
     graded-lex order: no term of the result is divisible by g's leading
@@ -348,17 +342,20 @@ def reduce_by_divisor(p: Poly, g: Poly) -> Poly:
 # -- finite ring enumeration ---------------------------------------------
 
 
-def _degree_monomials(nvars: int, deg: int):
-    """All exponent tuples of total degree deg, ascending lex."""
-    if nvars == 0:
-        if deg == 0:
+def compositions(total: int, parts: int, cap: int | None = None):
+    """Tuples of ``parts`` nonnegative ints summing to ``total``, each at
+    most ``cap``, in descending lexicographic order."""
+    if parts == 0:
+        if total == 0:
             yield ()
         return
-    if nvars == 1:
-        yield (deg,)
+    if parts == 1:
+        if cap is None or total <= cap:
+            yield (total,)
         return
-    for first in range(deg + 1):
-        for rest in _degree_monomials(nvars - 1, deg - first):
+    hi = total if cap is None else min(total, cap)
+    for first in range(hi, -1, -1):
+        for rest in compositions(total - first, parts - 1, cap):
             yield (first,) + rest
 
 
@@ -375,7 +372,8 @@ def basis_monomials(ctx: RingCtx) -> list[tuple]:
         raise InfiniteRing(f"{ctx} is not finite dimensional over its field")
     out = []
     for deg in range(ctx.truncation):
-        out.extend(_degree_monomials(ctx.nvars, deg))
+        # ascending lex within a degree is the enumerator's order reversed
+        out.extend(reversed(list(compositions(deg, ctx.nvars))))
     return out
 
 
@@ -404,7 +402,6 @@ def enumerate_ring(ctx: RingCtx):
     """
     size = ring_size(ctx)  # raises InfiniteRing for Q or untruncated nvars > 0
     basis = basis_monomials(ctx)
-    p = ctx.field.p
     for idx in range(size):
         yield element_decode(ctx, basis, idx)
 
@@ -450,7 +447,7 @@ def poly_to_text(p: Poly) -> str:
     return " + ".join(chunks)
 
 
-_FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
+_FACTOR_RE = re.compile(r"x([0-9]+)(?:\^([0-9]+))?")
 
 
 def poly_from_text(ctx: RingCtx, text: str) -> Poly:
@@ -488,17 +485,24 @@ def poly_from_text(ctx: RingCtx, text: str) -> Poly:
     result = ctx.zero()
     for sign, term in pieces:
         coeff = field.one()
-        exps = [0] * ctx.nvars
+        try:
+            exps = [0] * ctx.nvars
+        except OverflowError:  # more variables than a list can index
+            raise MalformedInput(f"ring with {ctx.nvars} variables") from None
         for factor in term.split("*"):
             if not factor:
                 raise MalformedInput(f"empty factor in {text!r}")
-            m = _FACTOR_RE.match(factor)
+            m = _FACTOR_RE.fullmatch(factor)
             if m:
-                var = int(m.group(1))
+                try:
+                    var = int(m.group(1))
+                    e = int(m.group(2)) if m.group(2) else 1
+                except ValueError:  # past Python's int-to-str digit limit
+                    raise MalformedInput(f"oversized factor in {text!r}") from None
                 if not 1 <= var <= ctx.nvars:
                     raise MalformedInput(
                         f"variable x{var} outside x1..x{ctx.nvars} in {text!r}")
-                exps[var - 1] += int(m.group(2)) if m.group(2) else 1
+                exps[var - 1] += e
             else:
                 try:
                     coeff = field.mul(coeff, field.from_str(factor))
@@ -510,7 +514,7 @@ def poly_from_text(ctx: RingCtx, text: str) -> Poly:
             raise MalformedInput(
                 f"term of degree {sum(exps)} exceeds truncation {ctx.truncation}")
         result = result + Poly(ctx, {tuple(exps): coeff} if not field.is_zero(coeff) else {})
-    return result
+    return _printable(result)
 
 
 def poly_to_json(p: Poly) -> dict:
@@ -537,7 +541,7 @@ def poly_from_json(ctx: RingCtx, obj) -> Poly:
         try:
             coeff = field.from_str(str(t["coeff"]))
             exps = tuple(t["exps"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInput(f"bad term {t!r}: {exc}") from None
         if len(exps) != ctx.nvars or any(
             not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in exps
@@ -548,4 +552,16 @@ def poly_from_json(ctx: RingCtx, obj) -> Poly:
                 f"term of degree {sum(exps)} exceeds truncation {ctx.truncation}")
         if not field.is_zero(coeff):
             result = result + Poly(ctx, {exps: coeff})
-    return result
+    return _printable(result)
+
+
+def _printable(p: Poly) -> Poly:
+    """``p``, unless a product or sum of parsed tokens took an exponent or
+    coefficient past the digits Python's int-to-str limit lets it write."""
+    limit = sys.get_int_max_str_digits()
+    for mono, c in p.terms.items():
+        # 10^limit has over 3 * limit bits, so shorter ints always print
+        if limit and any(k.bit_length() > 3 * limit and abs(k) >= 10 ** limit
+                         for k in (*mono, c.numerator, c.denominator)):
+            raise MalformedInput(f"a term has over {limit} digits in one number")
+    return p

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from tracezero.certificates import (
+    Certificate,
     build_noncommutator,
     certificate_from_json,
     certificate_to_json,
@@ -83,6 +84,10 @@ def test_build_rejects_bad_inputs():
         build_noncommutator(3, 0, [(1, 0, 0), (0, 1, 0), (0, 0, 2)], 2, F2)
     with pytest.raises(NotSeparated):
         build_noncommutator(3, 1, [(3, 0, 0), (2, 1, 0), (0, 0, 3)], 2, F2)
+    with pytest.raises(NotSeparated):
+        build_noncommutator(3, 0, [(1, 0, 0), (1, 0, 0), (0, 0, 1)], 2, F2)
+    with pytest.raises(WrongSimplex):
+        build_noncommutator(3, 0, [(True, 0, 0), (0, 1, 0), (0, 0, 1)], 2, F2)
 
 
 def test_validation_catches_tampering():
@@ -116,6 +121,11 @@ def test_validation_catches_wrong_points():
     assert not report.ok
     failed = {c.name for c in report.failures()}
     assert "separation" in failed
+    # a hand-built certificate: a bool coordinate is no simplex point,
+    # as in check_simplex_points
+    flagged = Certificate(3, 0, 2, Q, ((True, 0, 0), (0, 1, 0), (0, 0, 1)), cert.x)
+    failed = {c.name for c in validate_certificate(flagged).failures()}
+    assert "simplex membership" in failed
 
 
 def test_serialization_byte_stable():

@@ -299,3 +299,112 @@ def test_witness_nilpotent_rejects_non_nilpotent(tmp_path, capsys):
                        "--matrix", os.fspath(mat))
     assert code == 65
     assert "NotNilpotent" in err
+
+
+def d0_certificate(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    run(capsys, "certify", "--m", "3", "--d", "0", "--n", "2", "--auto",
+        "--out", os.fspath(cert))
+    return cert
+
+
+def test_oracle_rejects_bad_modulus(tmp_path, capsys):
+    cert = d0_certificate(tmp_path, capsys)
+    for p in ("4", "1"):
+        code, out, err = run(capsys, "oracle", "--cert", os.fspath(cert), "--p", p)
+        assert code == 65 and out == ""
+        assert "PreconditionViolated" in err
+
+
+def test_certify_rejects_bad_modulus(capsys):
+    code, out, err = run(capsys, "certify", "--m", "3", "--d", "0", "--n", "2",
+                         "--auto", "--field", "F4")
+    assert code == 65 and out == ""
+    assert "PreconditionViolated" in err
+
+
+# a 5000-digit literal: json raises a plain ValueError past Python's
+# 4300-digit int-to-str limit
+HUGE = "9" * 5000
+
+
+def test_verify_cert_rejects_oversized_int(tmp_path, capsys):
+    cert = d0_certificate(tmp_path, capsys)
+    text = cert.read_text()
+    assert '"n":2' in text
+    cert.write_text(text.replace('"n":2', '"n":' + HUGE, 1))
+    code, out, err = run(capsys, "verify-cert", os.fspath(cert))
+    assert code == 65 and out == ""
+    assert "MalformedInput" in err
+
+
+def test_witness_verify_rejects_oversized_int(tmp_path, capsys):
+    ctx = '{"field":{"kind":"Q"},"nvars":0}'
+    mat = '{"n":1,"ctx":%s,"entries":[[%s]]}'
+    w = tmp_path / "w.json"
+    w.write_text('{"target":%s,"X":%s,"B":%s}'
+                 % (mat % (ctx, "0"), mat % (ctx, HUGE), mat % (ctx, "0")))
+    code, out, err = run(capsys, "witness", "--verify", os.fspath(w))
+    assert code == 65 and out == ""
+    assert "MalformedInput" in err
+
+
+def test_certify_set_rejects_oversized_int(tmp_path, capsys):
+    pts = tmp_path / "pts.json"
+    pts.write_text("[[%s,0,0],[0,1,0],[0,0,1]]" % HUGE)
+    code, out, err = run(capsys, "certify", "--m", "3", "--d", "0", "--n", "2",
+                         "--set", os.fspath(pts))
+    assert code == 65 and out == ""
+    assert "MalformedInput" in err
+
+
+def test_malformed_arguments_exit_65(tmp_path, capsys):
+    not_points = tmp_path / "ints.json"
+    not_points.write_text("[1, 2, 3]")
+    not_utf8 = tmp_path / "bytes.json"
+    not_utf8.write_bytes(b"\xff\xfe{")
+    hollow = tmp_path / "h.json"
+    hollow.write_text(json.dumps({
+        "n": 2,
+        "ctx": {"field": {"kind": "Fp", "p": 5}, "nvars": 0},
+        "entries": [["0", "2"], ["3", "0"]],
+    }))
+    flat = tmp_path / "flat.json"
+    flat.write_text(json.dumps({"n": 2, "ctx": {"field": {"kind": "Q"}, "nvars": 0},
+                                "entries": 5}))
+    # an exponent sum past the 4300-digit int-to-str limit
+    top = "9" * 4300
+    unprintable = tmp_path / "big.json"
+    unprintable.write_text(json.dumps({
+        "n": 2, "ctx": {"field": {"kind": "Q"}, "nvars": 1},
+        "entries": [["0", f"x1^{top}*x1^{top}"], ["0", "0"]]}))
+    certify = ["certify", "--m", "3", "--d", "0", "--n", "2"]
+    cases = [
+        [*certify, "--set", os.fspath(not_points)],
+        [*certify, "--auto", "--field", "F²"],  # a digit int() rejects
+        ["verify-cert", os.fspath(not_utf8)],
+        ["witness", "--mode", "hollow", "--matrix", os.fspath(hollow),
+         "--clique", "a"],
+        ["witness", "--mode", "hollow", "--matrix", os.fspath(hollow),
+         "--clique", "1e5"],
+        ["witness", "--mode", "triangular", "--matrix", os.fspath(flat)],
+        ["witness", "--mode", "triangular", "--matrix", os.fspath(unprintable)],
+    ]
+    for argv in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (65, ""), argv
+        assert err.startswith("error: ")
+
+
+def test_certify_round_trip_past_a_thousand_variables(tmp_path, capsys):
+    m = 1100
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps([[int(i == j) for j in range(m)] for i in range(3)]))
+    cert = tmp_path / "cert.json"
+    code, _, _ = run(capsys, "certify", "--m", str(m), "--d", "0", "--n", "2",
+                     "--set", os.fspath(pts), "--out", os.fspath(cert))
+    assert code == 0
+    code, out, _ = run(capsys, "verify-cert", os.fspath(cert))
+    assert code == 0 and json.loads(out)["ok"] is True
+    code, _, err = run(capsys, "oracle", "--cert", os.fspath(cert))
+    assert code == 3 and "BudgetExceeded" in err

@@ -180,6 +180,85 @@ def test_nilpotent_flag_random_conjugates():
                 assert t.entry(i, j).is_zero()
 
 
+def greedy_flag_rows(a):
+    """Reference flag: the g rows nilpotent_flag must return, or None when
+    a is not nilpotent. Checks nilpotency by squaring past n, then keeps
+    each kernel vector of a, a^2, ... that is independent of the ones kept
+    before it, by its own incremental echelon form."""
+    field, F, n = a.ctx.field, a.constant_rows(), a.n
+
+    def matmul(x, y):
+        return [[sum_field(field, [field.mul(x[i][k], y[k][j]) for k in range(n)])
+                 for j in range(n)] for i in range(n)]
+
+    S, e = F, 1
+    while e < n:
+        S, e = matmul(S, S), 2 * e
+    if any(not field.is_zero(v) for r in S for v in r):
+        return None
+
+    def lead(row):
+        return next(i for i, x in enumerate(row) if not field.is_zero(x))
+
+    chosen, span_rows = [], []
+    power = F
+    while len(chosen) < n:
+        for v in kernel_basis(Matrix.from_rows(RingCtx(field, 0, None), power)):
+            if len(chosen) == n:
+                break
+            w = list(v)
+            for row in span_rows:
+                if not field.is_zero(w[lead(row)]):
+                    f = field.div(w[lead(row)], row[lead(row)])
+                    w = [field.sub(x, field.mul(f, y)) for x, y in zip(w, row)]
+            if any(not field.is_zero(x) for x in w):
+                span_rows.append(w)
+                span_rows.sort(key=lead)
+                chosen.append(list(v))
+        power = matmul(power, F)
+    # g inverts the matrix whose columns are the chosen vectors
+    p = sympy.Matrix([[sympy.Rational(chosen[j][i]) for j in range(n)]
+                      for i in range(n)])
+    if field.kind == "Q":
+        return [[Fraction(int(x.p), int(x.q)) for x in p.inv().tolist()[i]]
+                for i in range(n)]
+    return [[int(x) for x in p.inv_mod(field.p).tolist()[i]] for i in range(n)]
+
+
+def sum_field(field, vals):
+    total = field.zero()
+    for v in vals:
+        total = field.add(total, v)
+    return total
+
+
+def test_nilpotent_flag_matches_greedy_reference():
+    rng = random.Random(67)
+    nilpotent = 0
+    for t in range(240):
+        field = (Q, Field.prime(2), F101)[t % 3]
+        ctx = RingCtx(field, 0, None)
+        n = rng.randint(1, 5)
+        strict = [[field.random(rng) if j > i and rng.random() < 0.7 else 0
+                   for j in range(n)] for i in range(n)]
+        if t % 4 == 3:  # usually not nilpotent
+            strict[n - 1][0] = field.one()
+        try:
+            h = FlagBasis(field, [[field.random(rng) for _ in range(n)]
+                                  for _ in range(n)])
+        except SingularBasis:
+            continue
+        a = conjugate(h, Matrix.from_rows(ctx, strict))
+        expected = greedy_flag_rows(a)
+        if expected is None:
+            with pytest.raises(NotNilpotent):
+                nilpotent_flag(a)
+        else:
+            nilpotent += 1
+            assert nilpotent_flag(a).rows == expected
+    assert nilpotent > 100
+
+
 def test_nilpotent_flag_rejects_non_nilpotent():
     ctx = RingCtx(Q, 0, None)
     with pytest.raises(NotNilpotent):

@@ -94,6 +94,8 @@ def test_separated_set_validation():
         SeparatedSet(m=3, d=1, points=((3, 0, 0), (2, 1, 0)))
     with pytest.raises(NotSeparated):
         SeparatedSet(m=3, d=1, points=((3, 0, 0), (3, 0, 0)))
+    with pytest.raises(WrongSimplex):
+        SeparatedSet(m=3, d=1, points=((3, 0, 0), (True, 1, 1)))
 
 
 def test_corner_points():

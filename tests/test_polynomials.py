@@ -181,6 +181,12 @@ def test_basis_monomials_are_grlex_sorted():
     assert keys == sorted(keys)
     assert monos[0] == (0, 0, 0)
     assert monos[1:4] == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    # brute force: every exponent tuple of degree < N, sorted by grlex_key
+    for nvars in range(1, 5):
+        for trunc in range(1, 6):
+            brute = sorted((e for e in itertools.product(range(trunc), repeat=nvars)
+                            if sum(e) < trunc), key=grlex_key)
+            assert basis_monomials(RingCtx(F2, nvars, trunc)) == brute
 
 
 def test_infinite_ring_errors():
@@ -211,9 +217,22 @@ def test_text_format_frozen():
 
 def test_text_rejects_malformed():
     ctx = RingCtx(Q, 2, None)
-    for bad in ("1*w1", "x0", "x3", "1**x1", "1*x1^", "++1"):
+    # an exponent past Python's int-to-str limit, a Fraction-only exponent
+    # form whose parse cost grows with the exponent, and numbers built from
+    # in-limit tokens that a product of factors or a sum of like terms
+    # takes past the limit
+    top = "9" * 4300
+    for bad in ("1*w1", "x0", "x3", "1**x1", "1*x1^", "++1",
+                "x1^" + "9" * 5000, "1e1000000",
+                f"x1^{top}*x1^{top}", f"{top}*{top}", f"{top} + {top}*x2^0"):
         with pytest.raises(MalformedInput):
             poly_from_text(ctx, bad)
+    assert poly_to_text(poly_from_text(ctx, f"x1^{top}")) == f"1*x1^{top}"
+    with pytest.raises(MalformedInput):  # sum of two like JSON terms
+        poly_from_json(ctx, {"nvars": 2, "terms": [
+            {"coeff": top, "exps": [0, 0]}, {"coeff": top, "exps": [0, 0]}]})
+    with pytest.raises(MalformedInput):  # no list holds 2^63 exponents
+        poly_from_text(RingCtx(Q, 2 ** 63, None), "1")
     small = RingCtx(F2, 1, 2)
     with pytest.raises(MalformedInput):
         poly_from_text(small, "1*x1^5")

@@ -13,6 +13,7 @@ import pytest
 from tracezero.errors import (
     CliqueTooSmall,
     DifferenceNotAUnit,
+    DivisionByZero,
     NotAUnit,
     NotHollow,
     NotUpperTriangular,
@@ -23,6 +24,7 @@ from tracezero.fields import Field
 from tracezero.matrices import Matrix, commutator
 from tracezero.polynomials import RingCtx
 from tracezero.witnesses import (
+    Clique,
     WitnessPair,
     hollow_witness,
     nilpotent_witness,
@@ -162,6 +164,10 @@ def test_clique_validation():
     ctx5 = RingCtx(F5, 0, None)
     clique = verify_clique([1, 2, 4], ctx5)
     assert clique.elements == (1, 2, 4)
+    # a Clique built by hand skips those checks; a repeat still fails cleanly
+    a = Matrix.from_rows(ctx5, [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    with pytest.raises(DivisionByZero):
+        hollow_witness(a, Clique(F5, (1, 1)))
 
 
 def test_nilpotent_pipeline():
