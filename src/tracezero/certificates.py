@@ -24,7 +24,7 @@ from .errors import (
 )
 from .fields import Field
 from .matrices import Matrix
-from .packing import check_simplex_points, l1_distance, simplex_point_fault
+from .packing import check_simplex_points, int_text, l1_distance, simplex_point_fault
 from .polynomials import RingCtx
 
 
@@ -116,12 +116,14 @@ def validate_certificate(cert: Certificate) -> ValidationReport:
     def check(name, passed, detail=""):
         checks.append(CheckResult(name, bool(passed), detail))
 
+    # header ints come from untrusted JSON, so details go through int_text
     m, d, n = cert.m, cert.d, cert.n
-    check("dimensions", m >= 3 and n >= 2 and d >= 0, f"m={m}, d={d}, n={n}")
+    check("dimensions", m >= 3 and n >= 2 and d >= 0,
+          f"m={int_text(m)}, d={int_text(d)}, n={int_text(n)}")
     check("point count", len(cert.points) == 2 * n - 1,
-          f"{len(cert.points)} points for n={n}")
+          f"{len(cert.points)} points for n={int_text(n)}")
 
-    r = 2 * d + 1
+    r = int_text(2 * d + 1)
     bad = [p for p in cert.points if simplex_point_fault(m, d, p)]
     check("simplex membership", not bad,
           f"{len(bad)} points outside the sum-{r} simplex" if bad else f"sum {r}")
@@ -131,11 +133,12 @@ def validate_certificate(cert: Certificate) -> ValidationReport:
                    for i, p in enumerate(cert.points)
                    for q in cert.points[i + 1:])
         sep = mind > 2 * d
-        check("separation", sep, f"min pairwise distance {mind} > {2 * d}")
+        check("separation", sep,
+              f"min pairwise distance {int_text(mind)} > {int_text(2 * d)}")
         # equal-sum points sit at even distances, so separation is
         # equivalently distance >= 2d + 2
         check("separation parity", mind >= 2 * d + 2 if sep else False,
-              f"min distance {mind} >= {2 * d + 2}")
+              f"min distance {int_text(mind)} >= {int_text(2 * d + 2)}")
     else:
         check("separation", not bad and len(cert.points) < 2, "not checkable")
         check("separation parity", not bad and len(cert.points) < 2, "not checkable")
@@ -160,7 +163,8 @@ def validate_certificate(cert: Certificate) -> ValidationReport:
 
     # n <= 2^(2m-3) by bit length, so a huge m never builds the power
     check("size bound", m < 3 or n <= 1 or (n - 1).bit_length() <= 2 * m - 3,
-          f"n={n} <= 2^{2 * m - 3}" if m >= 3 else f"n={n}, m={m} < 3")
+          f"n={int_text(n)} <= 2^{int_text(2 * m - 3)}" if m >= 3
+          else f"n={int_text(n)}, m={int_text(m)} < 3")
     return ValidationReport(tuple(checks))
 
 

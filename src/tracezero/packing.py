@@ -13,10 +13,20 @@ monomial bases too, and :func:`check_simplex_points` is the one check of
 membership and separation, shared with `build_noncommutator`.
 
 The independent-set solver is an exact branch and bound over bitmask
-vertex sets: branch on the highest-degree remaining vertex (lex-least on
-ties), bound by a greedy clique cover, with the incumbent seeded by a
-deterministic iterated local search. A wall-clock budget degrades the
-answer to best-found with ``optimal=False``, never to an invalid set.
+vertex sets. Permuting coordinates maps the conflict graph of
+:func:`build_graph` onto itself, so on that graph, and on any other that
+:func:`_is_conflict_graph` finds as symmetric, the search starts with
+orbital branching (Ostrowski, Linderoth, Rossi and Smriglio, Math.
+Programming 2011): include one vertex of an orbit, or exclude the whole
+orbit, under the coordinate permutations that fix every chosen point.
+Where those permutations no longer move any candidate, and on every
+other graph, it branches in colour order as in Tomita's MCQ: one greedy
+clique cover per node, walked from its last class backwards, with the
+class number as the bound. The lex-least set of the proven size is then
+picked vertex by vertex with decision searches without symmetry. Only
+a search under a wall-clock budget seeds its incumbent with a
+deterministic iterated local search; the budget degrades the answer to
+best-found with ``optimal=False``, never to an invalid set.
 """
 
 from __future__ import annotations
@@ -63,15 +73,23 @@ def is_d_separated(points, d: int):
     return True, None
 
 
+def int_text(k: int) -> str:
+    """``k`` in decimal, or only its size past 64 bits, so that a message
+    about untrusted input never writes out, or fails on, a huge integer."""
+    if k.bit_length() <= 64:
+        return str(k)
+    return f"{'-' if k < 0 else ''}<{k.bit_length()}-bit integer>"
+
+
 def simplex_point_fault(m: int, d: int, p) -> str | None:
     """Why the tuple ``p`` is not a point of the sum-(2d+1) simplex (m
     nonnegative int coordinates, bools excluded), or None if it is."""
     if len(p) != m:
-        return f"does not have {m} coordinates"
+        return f"does not have {int_text(m)} coordinates"
     if any(not isinstance(c, int) or isinstance(c, bool) or c < 0 for c in p):
         return "has a bad coordinate"
     if sum(p) != 2 * d + 1:
-        return f"has coordinate sum {sum(p)}, expected {2 * d + 1}"
+        return f"has coordinate sum {int_text(sum(p))}, expected {int_text(2 * d + 1)}"
     return None
 
 
@@ -88,7 +106,7 @@ def check_simplex_points(m: int, d: int, points) -> None:
         i, j = pair
         raise NotSeparated(
             f"points {points[i]} and {points[j]} are at l1 distance "
-            f"{l1_distance(points[i], points[j])} <= {2 * d}")
+            f"{int_text(l1_distance(points[i], points[j]))} <= {int_text(2 * d)}")
 
 
 def corner_points(m: int, d: int) -> list[tuple]:
@@ -159,7 +177,13 @@ def interior_candidates(m: int, d: int) -> list[tuple]:
 class SepGraph:
     """Conflict graph on interior candidates: edges join points at l1
     distance <= 2d (too close to coexist). Adjacency is one bitmask per
-    vertex."""
+    vertex.
+
+    Any vertices and edges are allowed. The solver uses the symmetry of
+    coordinate permutations only where it checks that they map the
+    vertices and the edges onto themselves (:func:`_is_conflict_graph`),
+    as on every graph :func:`build_graph` makes; any other graph gets
+    the search without symmetry."""
 
     m: int
     d: int
@@ -177,56 +201,111 @@ class SepGraph:
 
 def build_graph(m: int, d: int) -> SepGraph:
     verts = interior_candidates(m, d)
+    return SepGraph(m, d, tuple(verts), _conflicts(verts, d))
+
+
+def _conflicts(verts, d: int) -> tuple:
+    """Adjacency bitmasks joining the points of ``verts`` at l1 distance
+    <= 2d. Distance rows go in chunks of at most 2^19 entries, summed one
+    coordinate at a time, so memory stays bounded."""
     n = len(verts)
     if n == 0:
-        return SepGraph(m, d, (), ())
-    # Distance rows in chunks, so memory stays bounded.
-    coords = np.array(verts, dtype=np.int16)
+        return ()
+    cols = np.array(verts, dtype=np.int16).T.copy()
     adj = []
-    chunk = max(1, (1 << 22) // (n * m))
+    chunk = max(1, (1 << 19) // n)
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        dist = np.abs(coords[lo:hi, None, :] - coords[None, :, :]).sum(axis=2)
+        dist = np.zeros((hi - lo, n), dtype=np.int16)
+        step = np.empty_like(dist)
+        for col in cols:
+            np.subtract(col[lo:hi, None], col, out=step)
+            dist += np.abs(step, out=step)
         close = dist <= 2 * d
-        for row in range(hi - lo):
-            close[row, lo + row] = False
+        close[np.arange(hi - lo), np.arange(lo, hi)] = False
         packed = np.packbits(close, axis=1, bitorder="little")
-        for row in range(hi - lo):
-            adj.append(int.from_bytes(packed[row].tobytes(), "little"))
-    return SepGraph(m, d, tuple(verts), tuple(adj))
+        adj.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+    return tuple(adj)
+
+
+def _is_conflict_graph(g: SepGraph) -> bool:
+    """True when every permutation of the coordinates maps the vertex set
+    of ``g`` onto itself and its edges onto its edges, as on every graph
+    :func:`build_graph` makes: the vertices are points of the sum-(2d+1)
+    simplex (so no int16 distance overflows while d < 2^13), closed under
+    swapping the first two coordinates and under a cyclic shift, which
+    generate all the permutations, and the edges join exactly the pairs
+    at l1 distance <= 2d."""
+    d, verts = g.d, g.vertices
+    if not (type(d) is int and 0 <= d < 1 << 13):
+        return False
+    if any(type(x) is not tuple or simplex_point_fault(g.m, d, x) for x in verts):
+        return False
+    points = set(verts)
+    if any(x[1::-1] + x[2:] not in points or x[1:] + x[:1] not in points
+           for x in verts):
+        return False
+    return g.adjacency == _conflicts(verts, d)
 
 
 # -- exact maximum independent set ------------------------------------------
 
 
-def _clique_cover_bound(adj, p: int) -> int:
-    """Greedy clique cover of the vertex mask p; its size bounds any
-    independent set inside p from above."""
-    bound = 0
+def _clique_cover(adj, p: int, skip: int):
+    """Greedy clique cover of the vertex mask p, one clique at a time, each
+    grown from the lowest free index. Returns the class count, which bounds
+    any independent set inside p from above, and the (vertex, class
+    number) pairs of the classes after the first ``skip``, in cover order.
+    With ``skip`` = incumbent - current size, a branch on a vertex of the
+    first ``skip`` classes cannot beat the incumbent, so they are left
+    out."""
+    high = []
+    k = 0
     rem = p
     while rem:
-        v = (rem & -rem).bit_length() - 1
-        rem &= rem - 1
-        cand = adj[v] & rem
+        k += 1
+        cand = rem
         while cand:
-            u = (cand & -cand).bit_length() - 1
-            rem &= ~(1 << u)
-            cand &= adj[u] & ~(1 << u)
-        bound += 1
-    return bound
+            low = cand & -cand
+            v = low.bit_length() - 1
+            rem ^= low
+            cand &= adj[v]
+            if k > skip:
+                high.append((v, k))
+    return k, high
 
 
-def _branch_vertex(adj, p: int) -> int:
-    """Highest degree inside p, lex-least index on ties."""
-    best_v, best_deg = -1, -1
+def _orbit_key(x, cells):
+    """The values of the point x on each coordinate cell, as sorted tuples:
+    two points share an orbit under the product of the symmetric groups on
+    the cells exactly when their keys agree."""
+    return tuple(tuple(sorted(x[i] for i in cell)) for cell in cells)
+
+
+def _orbits(coords, cells, p: int):
+    """Orbits of the vertices in p under the product of the symmetric
+    groups on the coordinate cells, as (lowest index, orbit mask) in order
+    of that index."""
+    orbits: dict = {}
     q = p
     while q:
         v = (q & -q).bit_length() - 1
         q &= q - 1
-        deg = (adj[v] & p).bit_count()
-        if deg > best_deg:
-            best_v, best_deg = v, deg
-    return best_v
+        key = _orbit_key(coords[v], cells)
+        orbits[key] = orbits.get(key, 0) | 1 << v
+    return [((o & -o).bit_length() - 1, o) for o in orbits.values()]
+
+
+def _refine(cells, x):
+    """Split each cell by the values of the point x, so the product of the
+    symmetric groups on the new cells is the stabilizer of x."""
+    out = []
+    for cell in cells:
+        parts: dict = {}
+        for i in cell:
+            parts.setdefault(x[i], []).append(i)
+        out.extend(tuple(part) for _, part in sorted(parts.items()))
+    return tuple(out)
 
 
 def _greedy_fill(adj, mask: int, order) -> int:
@@ -297,35 +376,75 @@ def _ils_lower_bound(adj, n: int, deadline, seed: int = 2024):
 
 
 def _mis_search(adj, start_mask: int, target: int | None, deadline,
-                init_mask: int = 0, init_size: int = 0):
+                init_mask: int = 0, init_size: int = 0, coords=None):
     """Core branch and bound.
 
     With ``target=None`` finds a maximum independent set inside
     ``start_mask``; with a target, stops as soon as an independent set of
     that size exists (decision mode). ``init_mask`` seeds the incumbent
     (it must be independent). Returns (best_mask, best_size, completed).
+
+    ``coords`` (the vertex points) turns on orbital branching under the
+    coordinate permutations; the adjacency must be invariant under them
+    and ``start_mask`` must be a union of orbits. A node then carries a
+    partition of the coordinates whose symmetric groups fix every chosen
+    point. Largest orbit first, it includes the lowest vertex of an orbit
+    in a child, then excludes the whole orbit and turns to the next one,
+    bounding each turn by the clique cover of what is left. Once every
+    orbit is one vertex, the node walks a clique cover from its last class
+    backwards, including each vertex in a child and then dropping it, and
+    stops as soon as the class number can no longer beat the incumbent.
+    Children are made only by inclusion, so the stack is never deeper than
+    the set being built.
     """
     best_mask, best_size = init_mask, init_size
     floor = 0 if target is None else target - 1
-    stack = [(start_mask, 0, 0)]
+
+    def frame(p, size, mask, cells):
+        # [candidates, size, chosen mask, branches (last first), cells]
+        if cells is not None:
+            orbits = _orbits(coords, cells, p)
+            if len(orbits) < p.bit_count():
+                orbits.sort(key=lambda o: (o[1].bit_count(), -o[0]))
+                return [p, size, mask, orbits, cells]
+        _, high = _clique_cover(adj, p, max(best_size, floor) - size)
+        return [p, size, mask, high, None]
+
+    stack = []
+    if start_mask:
+        cells = None if coords is None else (tuple(range(len(coords[0]))),)
+        stack.append(frame(start_mask, 0, 0, cells))
     nodes = 0
     while stack:
-        p, size, mask = stack.pop()
+        top = stack[-1]
+        p, size, mask, branches, cells = top
+        if not branches:
+            stack.pop()
+            continue
+        lim = max(best_size, floor)
+        if cells is None:
+            v, bound = branches[-1]
+            out = 1 << v
+        else:
+            v, out = branches[-1]
+            bound, _ = _clique_cover(adj, p, lim - size)
+        if size + bound <= lim:
+            stack.pop()
+            continue
         nodes += 1
-        if deadline is not None and (nodes & 63) == 0 and time.monotonic() > deadline:
+        if deadline is not None and (nodes & 63) == 1 and time.monotonic() > deadline:
             return best_mask, best_size, False
-        if size > best_size:
-            best_mask, best_size = mask, size
+        branches.pop()
+        top[0] = p & ~out  # exclude v, or its whole orbit, from the rest
+        bit = 1 << v
+        rest = p & ~adj[v] & ~bit
+        if size + 1 > best_size:
+            best_mask, best_size = mask | bit, size + 1
             if target is not None and best_size >= target:
                 return best_mask, best_size, True
-        if not p:
-            continue
-        if size + _clique_cover_bound(adj, p) <= max(best_size, floor):
-            continue
-        v = _branch_vertex(adj, p)
-        bit = 1 << v
-        stack.append((p & ~bit, size, mask))  # exclude v, explored second
-        stack.append((p & ~adj[v] & ~bit, size + 1, mask | bit))  # include v
+        if rest:
+            child = None if cells is None else _refine(cells, coords[v])
+            stack.append(frame(rest, size + 1, mask | bit, child))
     return best_mask, best_size, True
 
 
@@ -367,13 +486,15 @@ def max_independent_set(g: SepGraph, budget: float | None = None):
     if n == 0:
         return [], True
     adj = list(g.adjacency)
-    deadline = None if budget is None else time.monotonic() + budget
-    heur_deadline = deadline
+    deadline, seed_mask, seed_size = None, 0, 0
     if budget is not None:
-        heur_deadline = time.monotonic() + 0.4 * budget
-    seed_mask, seed_size = _ils_lower_bound(adj, n, heur_deadline)
+        # Only a search that may stop early needs a seeded incumbent.
+        deadline = time.monotonic() + budget
+        seed_mask, seed_size = _ils_lower_bound(adj, n, time.monotonic() + 0.4 * budget)
+    coords = g.vertices if _is_conflict_graph(g) else None
     mask, size, completed = _mis_search(adj, (1 << n) - 1, None, deadline,
-                                        init_mask=seed_mask, init_size=seed_size)
+                                        init_mask=seed_mask, init_size=seed_size,
+                                        coords=coords)
     vertices = [v for v in range(n) if mask >> v & 1]
     if not completed:
         return vertices, False

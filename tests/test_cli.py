@@ -231,6 +231,31 @@ def test_verify_cert_huge_m(tmp_path, capsys):
     assert checks["size bound"]["detail"] == "n=2 <= 2^19997"
 
 
+def test_huge_header_literals_are_not_written_out(tmp_path, capsys):
+    # json accepts a 4300-digit literal, but 2d+1 and 2m-3 pass Python's
+    # int-to-str digit limit; the report gives their size instead
+    cert = tmp_path / "cert.json"
+    run(capsys, "certify", "--m", "3", "--d", "0", "--n", "2", "--auto",
+        "--out", os.fspath(cert))
+    good = json.loads(cert.read_text())
+    big = "9" * 4300
+    for key in ("d", "m"):
+        cert.write_text(json.dumps({**good, key: int(big)}))
+        code, out, err = run(capsys, "verify-cert", os.fspath(cert))
+        assert code == 2, key
+        assert big[:50] not in out + err
+        assert "-bit integer>" in out
+        code, out, err = run(capsys, "oracle", "--cert", os.fspath(cert))
+        assert code == 2, key
+        assert big[:50] not in out + err
+    pts = tmp_path / "pts.json"
+    pts.write_text("[[1, 0, 0], [0, 1, 0], [0, 0, 1]]")
+    code, out, err = run(capsys, "certify", "--m", "3", "--d", big, "--n", "2",
+                         "--set", os.fspath(pts))
+    assert code == 65
+    assert big[:50] not in out + err
+
+
 def test_oracle_rejects_removed_flags(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     run(capsys, "certify", "--m", "3", "--d", "0", "--n", "2", "--auto",

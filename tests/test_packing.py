@@ -1,23 +1,35 @@
 """Separated-set packing tests.
 
 The branch-and-bound solver is checked against a brute-force maximum
-independent set oracle on every graph small enough to enumerate, and
-against the closed constant-weight formula on the d=1 family.
+independent set oracle on every graph small enough to enumerate, against
+networkx's exact maximum clique of the complement on every cell with at
+most 150 interior candidates, against the same search without symmetry,
+and against the closed constant-weight formula on the d=1 family.
 """
 
+import hashlib
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import tracezero
 from tracezero.errors import (
     NotSeparated,
     SetTooSmall,
     WrongSimplex,
 )
 from tracezero.packing import (
+    SepGraph,
     SeparatedSet,
+    _conflicts,
+    _is_conflict_graph,
+    _mis_search,
     best_separated_set,
     build_graph,
     constant_weight_bound,
@@ -289,9 +301,149 @@ def test_budget_exhaustion_reports_not_optimal():
 
 
 def test_cell_8_2_best_found_reaches_table_value():
-    # The largest known set for m=8, d=2 has 24 points; the seeded local
-    # search reaches it long before the budget, even though proving
-    # optimality is out of reach here. Either way n = 12.
+    # The largest set for m=8, d=2 has 24 points. Orbital branching proves
+    # it in a few seconds, and under a budget the seeded local search
+    # reaches it even when the proof does not finish. Either way n = 12.
     sep, optimal = best_separated_set(8, 2, 10.0)
     assert 23 <= sep.size <= 24
     assert matrix_size_from_set(sep) == 12
+
+
+def test_mis_matches_networkx_on_small_cells():
+    # networkx's exact maximum clique of the complement graph is an
+    # independent reference for every cell with at most 150 candidates
+    import networkx as nx
+
+    checked = 0
+    for m in range(1, 10):
+        for d in range(0, 5):
+            g = build_graph(m, d)
+            if not 0 < g.vertex_count <= 150:
+                continue
+            compatible = nx.Graph()
+            compatible.add_nodes_from(range(g.vertex_count))
+            compatible.add_edges_from(
+                (a, b) for a, b in itertools.combinations(range(g.vertex_count), 2)
+                if not g.adjacency[a] >> b & 1)
+            _, want = nx.max_weight_clique(compatible, weight=None)
+            idx, optimal = max_independent_set(g, None)
+            assert optimal, (m, d)
+            assert len(idx) == want, (m, d)
+            checked += 1
+    assert checked == 15
+
+
+# Default-grid cells (m <= 8, d <= 4) that the colour-order search without
+# symmetry proves; on each of the others it runs past 15 s.
+PLAIN_PROVABLE = [(m, d) for m in (3, 4, 5) for d in (1, 2, 3, 4)] + [
+    (6, 1), (6, 2), (6, 3), (7, 1), (7, 2), (8, 1)]
+
+
+def test_orbital_search_agrees_with_plain_colour_order():
+    for m, d in PLAIN_PROVABLE:
+        g = build_graph(m, d)
+        adj, full = list(g.adjacency), (1 << g.vertex_count) - 1
+        _, plain, done = _mis_search(adj, full, None, None)
+        assert done
+        mask, size, done = _mis_search(adj, full, None, None, coords=g.vertices)
+        assert done
+        assert size == plain == mask.bit_count(), (m, d)
+        assert not any(mask >> v & 1 and adj[v] & mask for v in range(g.vertex_count))
+
+
+# sha256 prefixes of json.dumps(points) for the cells the benchmark proves,
+# as the index-order branch and bound without symmetry returned them.
+PINNED_POINTS = {
+    (3, 1): "a68ceef85a71a61b", (3, 2): "b4c5f55f027f1809",
+    (3, 3): "de16affb91968bc2", (3, 4): "b97210dd2deb8f32",
+    (4, 1): "62359697e5839795", (4, 2): "7ddcaf3a2402eacc",
+    (4, 3): "43dd19243f94cde4", (4, 4): "5284e1536ad990c7",
+    (5, 1): "15ff1d2e4320a10a", (5, 2): "61c08d238a38d261",
+    (5, 3): "40802f981f62ae53", (5, 4): "9e8ee90d997c9677",
+    (6, 1): "27984b7bed65b662", (6, 2): "99906a65506b32f6",
+    (7, 1): "17dde936b03a97e8", (7, 2): "8ed895ee8d58a82d",
+    (8, 1): "3e75ce527802e54c", (9, 1): "88b3639c97e87dd5",
+}
+
+
+def test_proven_sets_are_pinned():
+    # the lex-least canonical set must not depend on how the search runs
+    for (m, d), digest in PINNED_POINTS.items():
+        s, optimal = best_separated_set(m, d, None)
+        assert optimal, (m, d)
+        got = hashlib.sha256(json.dumps(s.points).encode()).hexdigest()[:16]
+        assert got == digest, (m, d)
+
+
+def test_symmetry_only_on_built_graphs():
+    # Orbits shared by vertices whose edges differ would lose the maximum;
+    # the symmetric search runs only where every permutation of the
+    # coordinates maps the vertices and the edges onto themselves.
+    def graph(m, d, vertices, edges):
+        adj = [0] * len(vertices)
+        for a, b in edges:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        return SepGraph(m, d, tuple(vertices), tuple(adj))
+
+    built = build_graph(4, 1)  # four points, pairwise in conflict
+    cut = list(built.adjacency)
+    cut[1] &= ~(1 << 2)
+    cut[2] &= ~(1 << 1)
+    # seven (4, 2) candidates, not closed under permutations
+    part = ((2, 1, 2, 0), (2, 1, 1, 1), (2, 0, 1, 2), (1, 2, 1, 1),
+            (1, 1, 2, 1), (1, 1, 1, 2), (0, 2, 2, 1))
+    # seven (5, 1) candidates, closed under swapping the first two
+    # coordinates but not under a cyclic shift
+    swapped = ((1, 1, 1, 0, 0), (1, 1, 0, 1, 0), (1, 1, 0, 0, 1), (1, 0, 1, 1, 0),
+               (1, 0, 1, 0, 1), (0, 1, 1, 1, 0), (0, 1, 1, 0, 1))
+    # eight (6, 1) candidates, closed under a cyclic shift but not under
+    # swapping the first two coordinates
+    shifted = ((1, 1, 0, 0, 1, 0), (1, 0, 1, 1, 0, 0), (1, 0, 1, 0, 1, 0),
+               (1, 0, 0, 1, 0, 1), (0, 1, 1, 0, 0, 1), (0, 1, 0, 1, 1, 0),
+               (0, 1, 0, 1, 0, 1), (0, 0, 1, 0, 1, 1))
+    cases = [
+        (graph(2, 0, [(1, 0), (0, 1), (5, 5), (6, 6)], [(0, 2), (0, 3)]), [1, 2, 3]),
+        (graph(1, 0, [(0,), (0,), (1,), (2,)], [(0, 2), (0, 3)]), [1, 2, 3]),
+        (graph(1, 0, [("a",), ("b",)], [(0, 1)]), [0]),
+        (SepGraph(4, 1, built.vertices, tuple(cut)), [1, 2]),
+        (SepGraph(4, 2, part, _conflicts(part, 2)), [2, 6]),
+        (SepGraph(5, 1, swapped, _conflicts(swapped, 1)), [1, 4]),
+        (SepGraph(6, 1, shifted, _conflicts(shifted, 1)), [0, 1, 6, 7]),
+    ]
+    for g, want in cases:
+        assert not _is_conflict_graph(g)
+        assert max_independent_set(g, None) == (want, True)
+    for m, d in [(1, 0), (4, 1), (5, 2), (6, 3), (7, 2)]:
+        assert _is_conflict_graph(build_graph(m, d)), (m, d)
+    # a vertex order of its own keeps the symmetry and the answer's size
+    flipped = build_graph(5, 2).vertices[::-1]
+    g = SepGraph(5, 2, flipped, _conflicts(flipped, 2))
+    assert _is_conflict_graph(g)
+    idx, optimal = max_independent_set(g, None)
+    assert optimal and len(idx) == len(max_independent_set(build_graph(5, 2))[0])
+
+
+def test_symmetry_proves_larger_cells():
+    for (m, d), size in {(6, 3): 14, (6, 4): 15}.items():
+        s, optimal = best_separated_set(m, d, None)
+        assert optimal, (m, d)
+        assert s.size == size, (m, d)
+
+
+def test_many_small_orbits_stay_shallow():
+    # Once a few points are chosen, (7, 3) breaks into many small orbits;
+    # each is excluded in a loop, so the search never recurses on them.
+    limit = sys.getrecursionlimit()
+    s, _ = best_separated_set(7, 3, 1.0)
+    ok, _ = is_d_separated(s.points, 6)
+    assert ok and s.size > 7
+    assert set(corner_points(7, 3)) <= set(s.points)
+    assert sys.getrecursionlimit() == limit
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(tracezero.__file__)))
+    probe = ("import sys; r = sys.getrecursionlimit(); import tracezero.packing; "
+             "print(sys.getrecursionlimit() == r)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "True"
