@@ -478,9 +478,11 @@ def max_independent_set(g: SepGraph, budget: float | None = None):
 
     Returns (vertex index list, optimal). Under a wall-clock budget the
     search may stop early, returning the best set found so far with
-    ``optimal=False``; the set itself is always independent. When the
-    optimum is proven, the reported set is the lex-least one of maximum
-    size, so results are reproducible and partition-independent.
+    ``optimal=False``; the set itself is always independent. ``optimal``
+    is True only with the lex-least set of maximum size, so a proven
+    result is reproducible and partition-independent; if the lex-least
+    step runs out of budget, the search's own set comes back with
+    ``optimal=False``.
     """
     n = g.vertex_count
     if n == 0:
@@ -499,9 +501,9 @@ def max_independent_set(g: SepGraph, budget: float | None = None):
     if not completed:
         return vertices, False
     canonical = _lex_min_of_size(adj, n, size, deadline)
-    if canonical is not None:
-        vertices = canonical
-    return vertices, True
+    if canonical is None:
+        return vertices, False
+    return canonical, True
 
 
 def best_separated_set(m: int, d: int, budget: float | None = None):

@@ -16,6 +16,17 @@ the monomials of degree below N.
 Exponent tuples of one total degree come from :func:`compositions`, the
 package's one enumerator of integer compositions; the packing layer draws
 its simplex points from it too.
+
+Text form. Spaces are ignored; "" and "0" are the zero polynomial.
+Otherwise the text is a run of terms, each led by one sign: none (first
+term only), "+", "-" or "+-" (a "+" separator, then a negative
+coefficient); any other sign run, or a trailing sign, is malformed. A
+term is factors joined by "*": a variable ``x<i>`` with 1 <= i <= nvars,
+optionally raised to ``^<digits>``, or a field scalar ``digits`` or
+``digits/digits``. A term without a scalar has coefficient 1. Like terms
+add up, and a term whose degree reaches the truncation order is
+malformed, not silently dropped. :func:`poly_to_text` writes a subset of
+this grammar.
 """
 
 from __future__ import annotations
@@ -448,50 +459,29 @@ def poly_to_text(p: Poly) -> str:
 
 
 _FACTOR_RE = re.compile(r"x([0-9]+)(?:\^([0-9]+))?")
+# an optional sign ("+-" composes) and the term it applies to
+_TERM_RE = re.compile(r"(\+-|[+-]|)([^+-]+)")
 
 
 def poly_from_text(ctx: RingCtx, text: str) -> Poly:
-    """Parse the text form (also accepting '-' separators, bare variables,
-    and omitted unit coefficients)."""
+    """Parse the text form described in the module docstring."""
     if not isinstance(text, str):
         raise MalformedInput(f"expected a string, got {type(text).__name__}")
     s = text.replace(" ", "")
     if s in ("", "0"):
         return ctx.zero()
-    # split into signed term strings; "+-" composes (a "+" separator followed
-    # by a negative coefficient), any other sign run is rejected
-    pieces: list[tuple[int, str]] = []
-    sign, cur, nsigns = 1, [], 0
-    for ch in s:
-        if ch in "+-":
-            if cur:
-                pieces.append((sign, "".join(cur)))
-                cur = []
-                sign, nsigns = (1 if ch == "+" else -1), 1
-            elif nsigns == 0:
-                sign, nsigns = (1 if ch == "+" else -1), 1
-            elif nsigns == 1 and ch == "-" and sign == 1:
-                sign, nsigns = -1, 2
-            else:
-                raise MalformedInput(f"sign run in {text!r}")
-        else:
-            cur.append(ch)
-            nsigns = 0
-    if not cur:
-        raise MalformedInput(f"dangling sign in {text!r}")
-    pieces.append((sign, "".join(cur)))
-
+    matches = _TERM_RE.findall(s)
+    if "".join(sign + term for sign, term in matches) != s:
+        raise MalformedInput(f"sign run or dangling sign in {text!r}")
     field = ctx.field
-    result = ctx.zero()
-    for sign, term in pieces:
+    pairs = []
+    for sign, term in matches:
         coeff = field.one()
         try:
             exps = [0] * ctx.nvars
         except OverflowError:  # more variables than a list can index
             raise MalformedInput(f"ring with {ctx.nvars} variables") from None
         for factor in term.split("*"):
-            if not factor:
-                raise MalformedInput(f"empty factor in {text!r}")
             m = _FACTOR_RE.fullmatch(factor)
             if m:
                 try:
@@ -508,13 +498,8 @@ def poly_from_text(ctx: RingCtx, text: str) -> Poly:
                     coeff = field.mul(coeff, field.from_str(factor))
                 except MalformedInput:
                     raise MalformedInput(f"bad factor {factor!r} in {text!r}") from None
-        if sign < 0:
-            coeff = field.neg(coeff)
-        if ctx.truncation is not None and sum(exps) >= ctx.truncation:
-            raise MalformedInput(
-                f"term of degree {sum(exps)} exceeds truncation {ctx.truncation}")
-        result = result + Poly(ctx, {tuple(exps): coeff} if not field.is_zero(coeff) else {})
-    return _printable(result)
+        pairs.append((tuple(exps), field.neg(coeff) if "-" in sign else coeff))
+    return _from_terms(ctx, pairs)
 
 
 def poly_to_json(p: Poly) -> dict:
@@ -535,24 +520,29 @@ def poly_from_json(ctx: RingCtx, obj) -> Poly:
             f"polynomial has {obj.get('nvars')} variables, context has {ctx.nvars}")
     if not isinstance(obj["terms"], list):
         raise MalformedInput(f"polynomial terms must be a list, got {obj['terms']!r}")
-    field = ctx.field
-    result = ctx.zero()
+    pairs = []
     for t in obj["terms"]:
         try:
-            coeff = field.from_str(str(t["coeff"]))
-            exps = tuple(t["exps"])
+            pairs.append((tuple(t["exps"]), ctx.field.from_str(str(t["coeff"]))))
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInput(f"bad term {t!r}: {exc}") from None
+    return _from_terms(ctx, pairs)
+
+
+def _from_terms(ctx: RingCtx, pairs) -> Poly:
+    """Sum of the parsed ``(exponent tuple, coefficient)`` pairs, in one
+    dict. Every exponent vector is checked, zero terms included."""
+    field, N = ctx.field, ctx.truncation
+    acc: dict = {}
+    for exps, c in pairs:
         if len(exps) != ctx.nvars or any(
             not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in exps
         ):
-            raise MalformedInput(f"bad exponent vector {t!r}")
-        if ctx.truncation is not None and sum(exps) >= ctx.truncation:
-            raise MalformedInput(
-                f"term of degree {sum(exps)} exceeds truncation {ctx.truncation}")
-        if not field.is_zero(coeff):
-            result = result + Poly(ctx, {exps: coeff})
-    return _printable(result)
+            raise MalformedInput(f"bad exponent vector {exps!r}")
+        if N is not None and sum(exps) >= N:
+            raise MalformedInput(f"a term reaches the truncation order {N}")
+        acc[exps] = field.add(acc[exps], c) if exps in acc else c
+    return _printable(ctx.make(acc))
 
 
 def _printable(p: Poly) -> Poly:

@@ -55,11 +55,12 @@ def verify_clique(elements, ctx: RingCtx) -> Clique:
     for i, e in enumerate(coerced):
         if field.is_zero(e):
             raise NotAUnit(f"clique element {i+1} is zero in {field}")
-    for i in range(len(coerced)):
-        for j in range(i + 1, len(coerced)):
-            if field.is_zero(field.sub(coerced[i], coerced[j])):
-                raise DifferenceNotAUnit(
-                    f"elements {i+1} and {j+1} coincide in {field}")
+    # field elements are canonical values, so a zero difference is a repeat
+    first: dict = {}
+    for j, e in enumerate(coerced):
+        i = first.setdefault(e, j)
+        if i != j:
+            raise DifferenceNotAUnit(f"elements {i+1} and {j+1} coincide in {field}")
     return Clique(field, tuple(coerced))
 
 

@@ -1,6 +1,7 @@
 """Certificate construction, validation, and serialization tests."""
 
 import json
+import time
 
 import pytest
 
@@ -126,6 +127,15 @@ def test_validation_catches_wrong_points():
     flagged = Certificate(3, 0, 2, Q, ((True, 0, 0), (0, 1, 0), (0, 0, 1)), cert.x)
     failed = {c.name for c in validate_certificate(flagged).failures()}
     assert "simplex membership" in failed
+    # an oversized point list is not scanned pair by pair: the wrong count
+    # alone fails it, and 4,000 points for n = 2 take quadratic time to scan
+    bad["S"] = [[1, 0, 0]] * 4000
+    start = time.perf_counter()
+    report = validate_certificate(certificate_from_json(json.dumps(bad), validate=False))
+    assert time.perf_counter() - start < 2.0
+    failed = {c.name: c.detail for c in report.failures()}
+    assert "point count" in failed
+    assert failed["separation"] == failed["separation parity"] == "not checkable"
 
 
 def test_serialization_byte_stable():

@@ -300,6 +300,18 @@ def test_budget_exhaustion_reports_not_optimal():
         assert not g.adjacency[a] >> b & 1
 
 
+def test_lex_least_step_out_of_budget_reports_not_optimal(monkeypatch):
+    # the search proves the size, but without the lex-least set the answer
+    # would depend on machine speed, so it must not be called optimal
+    g = build_graph(6, 2)
+    monkeypatch.setattr(tracezero.packing, "_lex_min_of_size", lambda *args: None)
+    idx, optimal = max_independent_set(g, None)
+    assert not optimal
+    assert len(idx) == 12 - len(corner_points(6, 2))
+    for a, b in itertools.combinations(idx, 2):
+        assert not g.adjacency[a] >> b & 1
+
+
 def test_cell_8_2_best_found_reaches_table_value():
     # The largest set for m=8, d=2 has 24 points. Orbital branching proves
     # it in a few seconds, and under a budget the seeded local search

@@ -7,6 +7,7 @@ itertools counting as an independent enumeration route.
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -213,6 +214,10 @@ def test_text_format_frozen():
     assert poly_to_text(ctx.zero()) == "0"
     q = poly_from_text(ctx, "1*x1^2 + -1/2*x2 + 1")
     assert q == p
+    # "+-" composes, leading the text or following a term
+    assert poly_from_text(ctx, "+-x1") == -x
+    assert poly_from_text(ctx, "x1+-x2") == x - y
+    assert poly_from_text(ctx, "-x1 - 2*x2 + x1") == y.scale(-2)
 
 
 def test_text_rejects_malformed():
@@ -223,6 +228,8 @@ def test_text_rejects_malformed():
     # takes past the limit
     top = "9" * 4300
     for bad in ("1*w1", "x0", "x3", "1**x1", "1*x1^", "++1",
+                "-+x1", "--x1", "x1-+x2", "x1--x2", "x1++x2", "x1+", "x1+-", "-",
+                "x1**x2", "*x1", "x1*",
                 "x1^" + "9" * 5000, "1e1000000",
                 f"x1^{top}*x1^{top}", f"{top}*{top}", f"{top} + {top}*x2^0"):
         with pytest.raises(MalformedInput):
@@ -236,6 +243,25 @@ def test_text_rejects_malformed():
     small = RingCtx(F2, 1, 2)
     with pytest.raises(MalformedInput):
         poly_from_text(small, "1*x1^5")
+    # a degree past the digit limit reaches the truncation order too
+    with pytest.raises(MalformedInput):
+        poly_from_text(small, f"x1^{top}*x1^{top}")
+    with pytest.raises(MalformedInput):
+        poly_from_json(RingCtx(F2, 2, 2), {"nvars": 2, "terms": [
+            {"coeff": "1", "exps": [int(top), int(top)]}]})
+
+
+def test_large_polynomial_parses_in_linear_time():
+    # 64,000 terms: a reader that adds each term to a copy of the running
+    # sum is quadratic and takes tens of seconds on these
+    ctx = RingCtx(Q, 3, None)
+    p = ctx.make({e: Fraction(i % 17 - 8 or 9, i % 5 + 1)
+                  for i, e in enumerate(itertools.product(range(40), repeat=3))})
+    assert len(p.terms) == 64000
+    for parse, blob in ((poly_from_text, poly_to_text(p)), (poly_from_json, poly_to_json(p))):
+        start = time.perf_counter()
+        assert parse(ctx, blob) == p
+        assert time.perf_counter() - start < 5.0
 
 
 def test_json_round_trip():

@@ -6,6 +6,7 @@ examples worked by hand.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -164,6 +165,14 @@ def test_clique_validation():
     ctx5 = RingCtx(F5, 0, None)
     clique = verify_clique([1, 2, 4], ctx5)
     assert clique.elements == (1, 2, 4)
+    # repeats are found in one pass: 20,000 elements take quadratic time
+    # to compare pair by pair
+    big = RingCtx(Field.prime(1000003), 0, None)
+    start = time.perf_counter()
+    assert len(verify_clique(range(1, 20001), big)) == 20000
+    with pytest.raises(DifferenceNotAUnit, match="elements 7 and 20001 "):
+        verify_clique([*range(1, 20001), 7], big)
+    assert time.perf_counter() - start < 2.0
     # a Clique built by hand skips those checks; a repeat still fails cleanly
     a = Matrix.from_rows(ctx5, [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
     with pytest.raises(DivisionByZero):
