@@ -15,11 +15,12 @@ completed scan that finds nothing is a proof for the given ring. Matrices
 are ordered entry-row-major with the (1,1) digit most significant, pairs
 B-major; a reported witness is the first pair in that order.
 
-The scan is one sequential pass in that order. Each chunk of B matrices
-meets every C block, the (1,1) commutator entry is matched first, and
-only its survivors go through the other entries. A hit ends the scan, is
-decoded with the same tables, and is re-verified with exact polynomial
-arithmetic.
+The scan is one sequential pass in that order. A block of matrices is an
+n x n nest of code arrays; C is decoded whole once, and each chunk of B
+matrices meets all of it. The (1,1) commutator entry is matched on the
+chunk-by-C grid first, and only its survivors go through the other
+entries. A hit ends the scan, is decoded with the same tables, and is
+re-verified with exact polynomial arithmetic.
 """
 
 from __future__ import annotations
@@ -127,126 +128,68 @@ class FoundWitness:
     pairs_checked: int
 
 
-class _Scan:
-    """Shared geometry for one scan of the normalized pair space."""
-
-    def __init__(self, table: RingTable, n: int, target: Matrix):
-        self.table = table
-        self.n = n
-        self.q = table.q
-        self.k = n * n - 1
-        self.positions = [(i, j) for i in range(n) for j in range(n)
-                          if (i, j) != (n - 1, n - 1)]
-        self.pos_of = {ij: t for t, ij in enumerate(self.positions)}
-        self.ntotal = self.q ** self.k
-        self.weights = [self.q ** (self.k - 1 - t) for t in range(self.k)]
-        self.target_idx = [[element_encode(table.ctx, table.basis, target.rows[i][j])
-                            for j in range(n)] for i in range(n)]
-        self.c_chunk = min(self.ntotal, 4096)
-        self.b_chunk = min(self.ntotal, max(1, _CHUNK_PAIRS // self.ntotal))
-        # Every B chunk meets the same C blocks, so decode C once; this holds
-        # k * ntotal digits, and ntotal^2 is within the pair budget.
-        c_digits = self.decode_block(0, self.ntotal)
-        self.c_blocks = [(lo, min(lo + self.c_chunk, self.ntotal),
-                          [d[lo:lo + self.c_chunk] for d in c_digits])
-                         for lo in range(0, self.ntotal, self.c_chunk)]
-
-    def decode_block(self, lo: int, hi: int) -> list[np.ndarray]:
-        idx = np.arange(lo, hi, dtype=np.int64)
-        return [(idx // w) % self.q for w in self.weights]
-
-    def entry(self, decoded, i: int, j: int, sel=None):
-        """Encoded values of matrix entry (i, j) for a decoded block; the
-        pinned corner entry is the zero element."""
-        if (i, j) == (self.n - 1, self.n - 1):
-            return 0
-        arr = decoded[self.pos_of[(i, j)]]
-        return arr if sel is None else arr[sel]
-
-    def commutator_entry(self, bvals, cvals, i: int, j: int, shape):
-        """[B, C]_(i,j) over a block: sum_t B[i,t] C[t,j] - C[i,t] B[t,j].
-        Index arrays broadcast, so bvals/cvals may be column/row shaped."""
-        mul_t, add_t, sub_t = self.table.mul_t, self.table.add_t, self.table.sub_t
-        acc = None
-        for t in range(self.n):
-            if i == j == t:
-                continue  # the diagonal term cancels identically
-            term = sub_t[mul_t[bvals(i, t), cvals(t, j)],
-                         mul_t[cvals(i, t), bvals(t, j)]]
-            acc = term if acc is None else add_t[acc, term]
-        if acc is None:
-            acc = np.zeros(shape, dtype=np.int32)
-        return acc
+def _matrices(lo: int, hi: int, q: int, n: int) -> list[list[np.ndarray]]:
+    """Matrices lo..hi-1 of the enumeration as an n x n nest of arrays of
+    ring-element codes: the (1,1) digit most significant, the pinned
+    corner zero."""
+    idx = np.arange(lo, hi, dtype=np.int64)
+    k = n * n - 1
+    codes = [(idx // q ** (k - 1 - t)) % q for t in range(k)]
+    codes.append(np.zeros_like(idx))
+    return [codes[i * n:(i + 1) * n] for i in range(n)]
 
 
-def _scan_pairs(scan: _Scan):
+def _commutator_entry(table: RingTable, b, c, bsel, csel, i: int, j: int):
+    """Codes of [B, C]_(i,j) = sum_t B[i,t] C[t,j] - C[i,t] B[t,j], with
+    every B entry array indexed by ``bsel`` and every C one by ``csel``;
+    the results broadcast."""
+    mul_t, add_t, sub_t = table.mul_t, table.add_t, table.sub_t
+    n = len(b)
+    acc = None
+    for t in range(n):
+        if i == j == t and n > 1:
+            continue  # cancels identically; a 1 x 1 keeps it as its zero
+        term = sub_t[mul_t[b[i][t][bsel], c[t][j][csel]],
+                     mul_t[c[i][t][csel], b[t][j][bsel]]]
+        acc = term if acc is None else add_t[acc, term]
+    return acc
+
+
+def _scan_pairs(table: RingTable, n: int, target: Matrix):
     """Scan the normalized pair space in order, B-major.
 
-    Returns (first (b, c) pair whose commutator is the target, or None;
-    pairs scanned). The scan finishes the b-chunk containing a hit, so the
-    reported pair is the first in enumeration order.
+    Returns (first (b, c) index pair whose commutator is the target, or
+    None; pairs scanned). Each chunk of B matrices meets all of C; the
+    nonzero positions and the filters keep row-major order, so the first
+    survivor of a chunk is its first pair in enumeration order.
     """
-    ntotal = scan.ntotal
-    pairs = 0
-    for b in range(0, ntotal, scan.b_chunk):
-        b_end = min(b + scan.b_chunk, ntotal)
-        bd = scan.decode_block(b, b_end)
-        chunk_hits = []
-        for c_lo, c_hi, cd in scan.c_blocks:
-
-            def bgrid(i, j):
-                v = scan.entry(bd, i, j)
-                return v if isinstance(v, int) else v[:, None]
-
-            def cgrid(i, j):
-                v = scan.entry(cd, i, j)
-                return v if isinstance(v, int) else v[None, :]
-
-            grid = scan.commutator_entry(bgrid, cgrid, 0, 0,
-                                         (b_end - b, c_hi - c_lo))
-            sb, sc = np.nonzero(grid == scan.target_idx[0][0])
-            if sb.size:
-                hit = _full_check(scan, bd, cd, sb, sc)
-                if hit is not None:
-                    chunk_hits.append((b + hit[0], c_lo + hit[1]))
-        pairs += (b_end - b) * ntotal
-        if chunk_hits:
-            return min(chunk_hits), pairs
-    return None, pairs
+    q = table.q
+    ntotal = q ** (n * n - 1)
+    want = [[element_encode(table.ctx, table.basis, e) for e in row]
+            for row in target.rows]
+    rest = [(i, j) for i in range(n) for j in range(n)][1:]
+    c = _matrices(0, ntotal, q, n)
+    step = max(1, _CHUNK_PAIRS // ntotal)
+    for lo in range(0, ntotal, step):
+        hi = min(lo + step, ntotal)
+        b = _matrices(lo, hi, q, n)
+        grid = _commutator_entry(table, b, c, np.s_[:, None], np.s_[None, :], 0, 0)
+        sb, sc = np.nonzero(grid == want[0][0])
+        for i, j in rest:
+            if not sb.size:
+                break
+            keep = _commutator_entry(table, b, c, sb, sc, i, j) == want[i][j]
+            sb, sc = sb[keep], sc[keep]
+        if sb.size:
+            return (lo + int(sb[0]), int(sc[0])), hi * ntotal
+    return None, ntotal * ntotal
 
 
-def _full_check(scan: _Scan, bd, cd, sb, sc):
-    """Exact check of the remaining commutator entries on the pairs whose
-    (0,0) entry matches; returns the first surviving local (b, c) or None."""
-    n = scan.n
-    for i in range(n):
-        for j in range(n):
-            if i == 0 and j == 0:
-                continue
-            bvals = lambda a, t: scan.entry(bd, a, t, sb)
-            cvals = lambda a, t: scan.entry(cd, a, t, sc)
-            vals = scan.commutator_entry(bvals, cvals, i, j, sb.shape)
-            keep = vals == scan.target_idx[i][j]
-            if not keep.any():
-                return None
-            if not keep.all():
-                sb, sc = sb[keep], sc[keep]
-    return int(sb[0]), int(sc[0])
-
-
-def _decode_pair(scan: _Scan, pair):
-    b_idx, c_idx = pair
-    n = scan.n
-    table = scan.table
-
-    def decode_matrix(idx):
-        rows = [[table.ctx.zero() for _ in range(n)] for _ in range(n)]
-        for t, (i, j) in enumerate(scan.positions):
-            digit = (idx // scan.weights[t]) % scan.q
-            rows[i][j] = element_decode(table.ctx, table.basis, digit)
-        return Matrix(table.ctx, rows)
-
-    return decode_matrix(b_idx), decode_matrix(c_idx)
+def _decode_matrix(table: RingTable, n: int, idx: int) -> Matrix:
+    """Matrix number ``idx`` of the enumeration, as ring elements."""
+    ctx = table.ctx
+    return Matrix(ctx, [[element_decode(ctx, table.basis, int(e[0])) for e in row]
+                        for row in _matrices(idx, idx + 1, table.q, n)])
 
 
 def _run_search(ctx: RingCtx, n: int, target: Matrix, budget: int):
@@ -259,14 +202,15 @@ def _run_search(ctx: RingCtx, n: int, target: Matrix, budget: int):
     if total > budget:
         raise BudgetExceeded(
             f"search needs {total} pairs, budget is {budget}", required=total)
-    scan = _Scan(RingTable(ctx), n, target)
-    found, pairs = _scan_pairs(scan)
+    table = RingTable(ctx)
+    found, pairs = _scan_pairs(table, n, target)
     if found is None:
         return None, pairs
-    b, c = _decode_pair(scan, found)
+    b, c = (_decode_matrix(table, n, idx) for idx in found)
     if commutator(b, c) != target:
         raise RuntimeError(f"oracle pair {found} does not decompose the target")
-    return FoundWitness(b=b, c=c, pair_index=found[0] * scan.ntotal + found[1],
+    ntotal = table.q ** (n * n - 1)
+    return FoundWitness(b=b, c=c, pair_index=found[0] * ntotal + found[1],
                         pairs_checked=pairs), pairs
 
 

@@ -23,9 +23,10 @@ Where those permutations no longer move any candidate, and on every
 other graph, it branches in colour order as in Tomita's MCQ: one greedy
 clique cover per node, walked from its last class backwards, with the
 class number as the bound. The lex-least set of the proven size is then
-picked vertex by vertex with decision searches without symmetry. Only
-a search under a wall-clock budget seeds its incumbent with a
-deterministic iterated local search; the budget degrades the answer to
+picked vertex by vertex with decision searches without symmetry. Under
+a wall-clock budget the exact search gets 60% of it; only if it does not
+finish does a deterministic iterated local search get the rest, and the
+larger of the two sets is kept. The budget degrades the answer to
 best-found with ``optimal=False``, never to an invalid set.
 """
 
@@ -376,13 +377,13 @@ def _ils_lower_bound(adj, n: int, deadline, seed: int = 2024):
 
 
 def _mis_search(adj, start_mask: int, target: int | None, deadline,
-                init_mask: int = 0, init_size: int = 0, coords=None):
+                coords=None):
     """Core branch and bound.
 
     With ``target=None`` finds a maximum independent set inside
     ``start_mask``; with a target, stops as soon as an independent set of
-    that size exists (decision mode). ``init_mask`` seeds the incumbent
-    (it must be independent). Returns (best_mask, best_size, completed).
+    that size exists (decision mode). Returns (best_mask, best_size,
+    completed).
 
     ``coords`` (the vertex points) turns on orbital branching under the
     coordinate permutations; the adjacency must be invariant under them
@@ -397,7 +398,7 @@ def _mis_search(adj, start_mask: int, target: int | None, deadline,
     Children are made only by inclusion, so the stack is never deeper than
     the set being built.
     """
-    best_mask, best_size = init_mask, init_size
+    best_mask, best_size = 0, 0
     floor = 0 if target is None else target - 1
 
     def frame(p, size, mask, cells):
@@ -488,22 +489,23 @@ def max_independent_set(g: SepGraph, budget: float | None = None):
     if n == 0:
         return [], True
     adj = list(g.adjacency)
-    deadline, seed_mask, seed_size = None, 0, 0
+    deadline = search_deadline = None
     if budget is not None:
-        # Only a search that may stop early needs a seeded incumbent.
-        deadline = time.monotonic() + budget
-        seed_mask, seed_size = _ils_lower_bound(adj, n, time.monotonic() + 0.4 * budget)
+        start = time.monotonic()
+        deadline, search_deadline = start + budget, start + 0.6 * budget
     coords = g.vertices if _is_conflict_graph(g) else None
-    mask, size, completed = _mis_search(adj, (1 << n) - 1, None, deadline,
-                                        init_mask=seed_mask, init_size=seed_size,
+    mask, size, completed = _mis_search(adj, (1 << n) - 1, None, search_deadline,
                                         coords=coords)
-    vertices = [v for v in range(n) if mask >> v & 1]
-    if not completed:
-        return vertices, False
-    canonical = _lex_min_of_size(adj, n, size, deadline)
-    if canonical is None:
-        return vertices, False
-    return canonical, True
+    if completed:
+        canonical = _lex_min_of_size(adj, n, size, deadline)
+        if canonical is not None:
+            return canonical, True
+    else:
+        # Only a search that ran out of time pays for the local search.
+        ils_mask, ils_size = _ils_lower_bound(adj, n, deadline)
+        if ils_size > size:
+            mask = ils_mask
+    return [v for v in range(n) if mask >> v & 1], False
 
 
 def best_separated_set(m: int, d: int, budget: float | None = None):

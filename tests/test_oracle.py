@@ -118,14 +118,53 @@ def test_hollow_control_finds_witness():
     assert commutator(b, c) == a
 
 
+def reference_first_pair(a):
+    """First (pair_index, b, c) of the normalized scan, walked in plain
+    Python: entries row-major with the (1,1) digit most significant, the
+    last diagonal entry pinned at zero, pairs B-major."""
+    ctx, n = a.ctx, a.n
+    elems = list(enumerate_ring(ctx))
+
+    def as_matrix(digits):
+        flat = list(digits) + [ctx.zero()]
+        return Matrix.from_rows(ctx, [flat[i * n:(i + 1) * n] for i in range(n)])
+
+    mats = [as_matrix(d) for d in itertools.product(elems, repeat=n * n - 1)]
+    for bi, b in enumerate(mats):
+        for ci, c in enumerate(mats):
+            if commutator(b, c) == a:
+                return bi * len(mats) + ci, b, c
+    return None
+
+
 def test_found_witness_reports_pair_index():
-    cert = build_noncommutator(3, 0, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 2, F2)
-    # F_3 target: the d=0 construction is characteristic-independent, but
-    # over a different modulus the search rebuilds the matrix; sanity-run a
-    # small budget slice and confirm the budget guard trips first
-    with pytest.raises(BudgetExceeded) as info:
-        exhaustive_noncommutator_check(cert, 3, budget=100)
-    assert info.value.required == ring_size(RingCtx(F3, 3, 2)) ** 6
+    # random commutator targets over small rings, and one scalar 3x3 over
+    # F_3 whose first hit, pair (3, 5364), lies beyond column 4096 of its
+    # B row: each matrix row of that pair space holds 3^8 = 6561 matrices
+    from tracezero.oracle import _run_search
+
+    targets = []
+    rng = random.Random(131)
+    for p, nvars, trunc, n, count in [(2, 0, None, 2, 6), (3, 0, None, 2, 6),
+                                      (2, 1, 2, 2, 6), (3, 0, None, 1, 1),
+                                      (3, 1, 2, 1, 1)]:
+        ctx = RingCtx(Field.prime(p), nvars, trunc)
+        elems = list(enumerate_ring(ctx))
+        for _ in range(count):
+            b, c = (Matrix.from_rows(ctx, [[rng.choice(elems) for _ in range(n)]
+                                           for _ in range(n)]) for _ in range(2))
+            targets.append(commutator(b, c))
+    ctx = RingCtx(F3, 0, None)
+    b = Matrix.from_rows(ctx, [[0, 0, 0], [0, 0, 0], [1, 0, 0]])
+    c = Matrix.from_rows(ctx, [[2, 1, 1], [0, 2, 2], [1, 0, 0]])
+    targets.append(commutator(b, c))
+
+    for target in targets:
+        want = reference_first_pair(target)
+        found, _ = _run_search(target.ctx, target.n, target, 2**40)
+        assert want is not None and found is not None
+        assert (found.pair_index, found.b, found.c) == want
+    assert found.pair_index == 3 * 6561 + 5364
 
 
 def test_invalid_certificate_rejected_before_search():
@@ -141,38 +180,44 @@ def test_sampled_no_witness_spot_check():
     # independently re-check a random sample of the pair space with plain
     # polynomial arithmetic: the d=0 target must differ from every sampled
     # commutator, consistent with the NoWitness verdict
-    from tracezero.oracle import RingTable, _Scan, _decode_pair
+    from tracezero.oracle import RingTable, _decode_matrix
     from tracezero.certificates import _certificate_matrix
 
     cert = build_noncommutator(3, 0, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 2, F2)
     ctx = RingCtx(F2, 3, 2)
     target = _certificate_matrix(ctx, 2, list(cert.points))
-    scan = _Scan(RingTable(ctx), 2, target)
+    table = RingTable(ctx)
+    ntotal = table.q ** 3
     rng = random.Random(101)
     for _ in range(400):
-        pair = (rng.randrange(scan.ntotal), rng.randrange(scan.ntotal))
-        b, c = _decode_pair(scan, pair)
+        b = _decode_matrix(table, 2, rng.randrange(ntotal))
+        c = _decode_matrix(table, 2, rng.randrange(ntotal))
         # normalization pins the bottom-right entries at zero
         assert b.entry(1, 1).is_zero() and c.entry(1, 1).is_zero()
         assert commutator(b, c) != target
 
 
 def test_decode_pair_round_trip():
-    # every entry produced by the decoder encodes back to its digit
-    from tracezero.oracle import RingTable, _Scan, _decode_pair
+    # every entry decoded from a pair index encodes back to its digit, and
+    # agrees with the block the scan reads
+    from tracezero.oracle import RingTable, _decode_matrix, _matrices
 
     ctx = RingCtx(F2, 2, 2)
     table = RingTable(ctx)
-    target = Matrix.zeros(ctx, 2)
-    scan = _Scan(table, 2, target)
+    q = table.q
+    ntotal = q ** 3
+    positions = [(0, 0), (0, 1), (1, 0)]
+    weights = [q ** 2, q, 1]
+    block = _matrices(0, ntotal, q, 2)
     rng = random.Random(103)
     for _ in range(200):
-        code = rng.randrange(scan.ntotal)
-        b, _ = _decode_pair(scan, (code, 0))
-        digits = [element_encode(ctx, table.basis, b.rows[i][j])
-                  for (i, j) in scan.positions]
-        rebuilt = sum(d * w for d, w in zip(digits, scan.weights))
-        assert rebuilt == code
+        pair = divmod(rng.randrange(ntotal * ntotal), ntotal)
+        for code in pair:
+            m = _decode_matrix(table, 2, code)
+            digits = [element_encode(ctx, table.basis, m.rows[i][j]) for (i, j) in positions]
+            assert sum(d * w for d, w in zip(digits, weights)) == code
+            assert [int(block[i][j][code]) for (i, j) in positions] == digits
+            assert m.entry(1, 1).is_zero() and block[1][1][code] == 0
 
 
 def test_found_witness_builds_one_table(monkeypatch):
@@ -255,32 +300,28 @@ def test_shuffled_sample_rerun_finds_nothing():
     # certificate target must stay undecomposable on the sample too.
     import numpy as np
     from tracezero.certificates import _certificate_matrix
-    from tracezero.oracle import RingTable, _Scan
+    from tracezero.oracle import RingTable, _commutator_entry
 
     cert = build_noncommutator(3, 0, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 2, F2)
     ctx = RingCtx(F2, 3, 2)
     target = _certificate_matrix(ctx, 2, cert.points)
-    scan = _Scan(RingTable(ctx), 2, target)
+    table = RingTable(ctx)
+    q = table.q
+    ntotal = q ** 3
     rng = random.Random(77)
     nb = nc = 412  # 412^2 = 169744 pairs, about 1% of 4096^2
-    bsel = np.array(rng.sample(range(scan.ntotal), nb), dtype=np.int64)
-    csel = np.array(rng.sample(range(scan.ntotal), nc), dtype=np.int64)
-    bdig = [(bsel // w) % scan.q for w in scan.weights]
-    cdig = [(csel // w) % scan.q for w in scan.weights]
+    bsel = np.array(rng.sample(range(ntotal), nb), dtype=np.int64)
+    csel = np.array(rng.sample(range(ntotal), nc), dtype=np.int64)
 
-    def bvals(i, t):
-        if (i, t) == (1, 1):
-            return 0
-        return bdig[scan.pos_of[(i, t)]][:, None]
+    def digits(sel):
+        # (0,0), (0,1), (1,0) from most to least significant; (1,1) pinned
+        d = [(sel // w) % q for w in (q ** 2, q, 1)]
+        return [[d[0], d[1]], [d[2], np.zeros_like(sel)]]
 
-    def cvals(t, j):
-        if (t, j) == (1, 1):
-            return 0
-        return cdig[scan.pos_of[(t, j)]][None, :]
-
+    bdig, cdig = digits(bsel), digits(csel)
     hits = np.ones((nb, nc), dtype=bool)
     for i in range(2):
         for j in range(2):
-            got = scan.commutator_entry(bvals, cvals, i, j, (nb, nc))
-            hits &= got == scan.target_idx[i][j]
+            got = _commutator_entry(table, bdig, cdig, np.s_[:, None], np.s_[None, :], i, j)
+            hits &= got == element_encode(ctx, table.basis, target.rows[i][j])
     assert not hits.any()
