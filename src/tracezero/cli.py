@@ -89,7 +89,7 @@ def _parse_field(text: str) -> Field:
 
 def cmd_pack(args) -> int:
     if args.construction == "quadratic" or (
-        args.construction == "auto" and args.d >= args.m - 1
+        args.construction == "auto" and packing.quadratic_applies(args.m, args.d)
     ):
         sep = packing.quadratic_construction(args.m, args.d)
         optimal = False
@@ -193,7 +193,7 @@ def cmd_certify(args) -> int:
             raise MalformedInput(f"{args.set} does not hold a point list")
         points = [tuple(p) for p in raw]
     elif args.auto:
-        if args.d >= args.m - 1:
+        if packing.quadratic_applies(args.m, args.d):
             points = list(packing.quadratic_construction(args.m, args.d).points)
         else:
             sep, _optimal = packing.best_separated_set(args.m, args.d, args.budget)

@@ -158,13 +158,12 @@ class Matrix:
         }
 
     @staticmethod
-    def from_json(obj, ctx: RingCtx | None = None) -> Matrix:
+    def from_json(obj) -> Matrix:
         if not isinstance(obj, dict) or "entries" not in obj:
             raise MalformedInput(f"bad matrix object {obj!r}")
-        if ctx is None:
-            if "ctx" not in obj:
-                raise MalformedInput("matrix object lacks a ring context")
-            ctx = RingCtx.from_json(obj["ctx"])
+        if "ctx" not in obj:
+            raise MalformedInput("matrix object lacks a ring context")
+        ctx = RingCtx.from_json(obj["ctx"])
         entries = obj["entries"]
         if not isinstance(entries, list):
             raise MalformedInput(f"matrix entries must be a list, got {entries!r}")
@@ -276,7 +275,11 @@ class FlagBasis:
         self._inv_rows = [r[n:] for r in reduced]
 
     def inverse(self) -> FlagBasis:
-        return FlagBasis(self.field, self._inv_rows)
+        """The basis of the cached inverse, whose inverse is these rows."""
+        inv = object.__new__(FlagBasis)
+        inv.field, inv.n = self.field, self.n
+        inv.rows, inv._inv_rows = self._inv_rows, self.rows
+        return inv
 
     def as_matrix(self, ctx: RingCtx) -> Matrix:
         if ctx.field != self.field:

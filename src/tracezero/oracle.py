@@ -2,11 +2,11 @@
 finite truncated rings, and the explicit rank-2 decomposition over the
 quadric coordinate ring.
 
-A finite context F_p[x_1..x_m]/(x_1..x_m)^N has q = p^B elements. Each is
-encoded as the mixed-radix integer of its coefficient vector on the
-graded-lex basis (constant digit least significant), turning ring
-arithmetic into q x q table lookups that numpy applies to whole blocks of
-candidate matrices at once.
+A finite context F_p[x_1..x_m]/(x_1..x_m)^N has q = p^B elements, coded
+by ``element_encode``. ``RingTable`` holds the codes of the ``Poly`` sums,
+products and differences of all pairs of them, for at most 256 elements
+(the build takes about 2 s there), so the scan computes in the package's
+own arithmetic, as q x q lookups numpy applies to whole matrix blocks.
 
 The pair search enumerates matrices B, C with the last diagonal entries
 pinned to zero. That normalization loses nothing: shifting B and C by
@@ -19,12 +19,14 @@ The scan is one sequential pass in that order. A block of matrices is an
 n x n nest of code arrays; C is decoded whole once, and each chunk of B
 matrices meets all of it. The (1,1) commutator entry is matched on the
 chunk-by-C grid first, and only its survivors go through the other
-entries. A hit ends the scan, is decoded with the same tables, and is
-re-verified with exact polynomial arithmetic.
+entries. A hit ends the scan, which reports its index plus one as pairs
+checked; it is decoded with the same tables and re-verified with exact
+polynomial arithmetic.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,27 +40,29 @@ from .errors import (
 )
 from .fields import Field
 from .matrices import Matrix, commutator
+from .packing import int_text
 from .polynomials import (
     RingCtx,
     basis_monomials,
+    basis_size,
     element_decode,
     element_encode,
+    enumerate_ring,
     reduce_by_divisor,
     ring_size,
 )
 
 DEFAULT_PAIR_BUDGET = 2**34
-_CHUNK_PAIRS = 2**20
-_TABLE_CAP = 4096
+_CHUNK_PAIRS = 2**17
+_TABLE_CAP = 256
 
 
 class RingTable:
-    """Lookup-table arithmetic for one finite ring context."""
+    """Lookup-table arithmetic for one finite ring context: the codes of
+    the ``Poly`` sums, products and differences of every pair of elements."""
 
     def __init__(self, ctx: RingCtx):
-        if ctx.field.kind != "Fp" or (ctx.truncation is None and ctx.nvars > 0):
-            raise InfiniteRing(f"{ctx} is not a finite ring")
-        q = ring_size(ctx)
+        q = ring_size(ctx)  # raises InfiniteRing for infinite rings
         if q > _TABLE_CAP:
             raise BudgetExceeded(
                 f"ring has {q} elements; table search caps at {_TABLE_CAP}",
@@ -66,43 +70,13 @@ class RingTable:
         self.ctx = ctx
         self.basis = basis_monomials(ctx)
         self.q = q
-        p = ctx.field.p
-        nb = len(self.basis)
-
-        digits = np.zeros((q, nb), dtype=np.int64)
-        tmp = np.arange(q, dtype=np.int64)
-        for t in range(nb):
-            digits[:, t] = tmp % p
-            tmp //= p
-        radix = p ** np.arange(nb, dtype=np.int64)
-
-        pos = {mono: t for t, mono in enumerate(self.basis)}
-        prod_pos = np.full((nb, nb), -1, dtype=np.int64)
-        for a in range(nb):
-            for b in range(nb):
-                s = tuple(x + y for x, y in zip(self.basis[a], self.basis[b]))
-                if ctx.truncation is None or sum(s) < ctx.truncation:
-                    prod_pos[a, b] = pos[s]
-
-        add_t = np.empty((q, q), dtype=np.int32)
-        mul_t = np.empty((q, q), dtype=np.int32)
-        for u in range(q):
-            du = digits[u]
-            add_t[u] = ((du + digits) % p) @ radix
-            acc = np.zeros((q, nb), dtype=np.int64)
-            for a in range(nb):
-                if du[a] == 0:
-                    continue
-                for b in range(nb):
-                    t = prod_pos[a, b]
-                    if t >= 0:
-                        acc[:, t] += du[a] * digits[:, b]
-            mul_t[u] = (acc % p) @ radix
-        neg_t = (((p - digits) % p) @ radix).astype(np.int32)
-
-        self.add_t = add_t
-        self.mul_t = mul_t
-        self.sub_t = add_t[:, neg_t]
+        elems = list(enumerate_ring(ctx))
+        self.add_t, self.mul_t = (
+            np.array([[element_encode(ctx, self.basis, op(u, v)) for v in elems]
+                      for u in elems], dtype=np.int32)
+            for op in (operator.add, operator.mul))
+        neg = [element_encode(ctx, self.basis, -u) for u in elems]
+        self.sub_t = self.add_t[:, neg]
 
 
 def pair_count(ctx: RingCtx, n: int) -> int:
@@ -158,10 +132,10 @@ def _commutator_entry(table: RingTable, b, c, bsel, csel, i: int, j: int):
 def _scan_pairs(table: RingTable, n: int, target: Matrix):
     """Scan the normalized pair space in order, B-major.
 
-    Returns (first (b, c) index pair whose commutator is the target, or
-    None; pairs scanned). Each chunk of B matrices meets all of C; the
-    nonzero positions and the filters keep row-major order, so the first
-    survivor of a chunk is its first pair in enumeration order.
+    Returns the first (b, c) index pair whose commutator is the target, or
+    None. Each chunk of B matrices meets all of C; the nonzero positions
+    and the filters keep row-major order, so the first survivor of a chunk
+    is its first pair in enumeration order.
     """
     q = table.q
     ntotal = q ** (n * n - 1)
@@ -171,8 +145,7 @@ def _scan_pairs(table: RingTable, n: int, target: Matrix):
     c = _matrices(0, ntotal, q, n)
     step = max(1, _CHUNK_PAIRS // ntotal)
     for lo in range(0, ntotal, step):
-        hi = min(lo + step, ntotal)
-        b = _matrices(lo, hi, q, n)
+        b = _matrices(lo, min(lo + step, ntotal), q, n)
         grid = _commutator_entry(table, b, c, np.s_[:, None], np.s_[None, :], 0, 0)
         sb, sc = np.nonzero(grid == want[0][0])
         for i, j in rest:
@@ -181,8 +154,8 @@ def _scan_pairs(table: RingTable, n: int, target: Matrix):
             keep = _commutator_entry(table, b, c, sb, sc, i, j) == want[i][j]
             sb, sc = sb[keep], sc[keep]
         if sb.size:
-            return (lo + int(sb[0]), int(sc[0])), hi * ntotal
-    return None, ntotal * ntotal
+            return lo + int(sb[0]), int(sc[0])
+    return None
 
 
 def _decode_matrix(table: RingTable, n: int, idx: int) -> Matrix:
@@ -195,23 +168,29 @@ def _decode_matrix(table: RingTable, n: int, idx: int) -> Matrix:
 def _run_search(ctx: RingCtx, n: int, target: Matrix, budget: int):
     """Scan the whole normalized pair space for [B, C] = target.
 
-    Returns (FoundWitness or None, pairs scanned). A found pair is decoded
-    and re-verified with exact polynomial arithmetic.
+    Returns a FoundWitness, decoded and re-verified with exact polynomial
+    arithmetic, or None after a complete scan. The budget is checked on
+    the exponent of the pair count p^e, so a huge count is never formed.
     """
-    total = pair_count(ctx, n)  # raises InfiniteRing for infinite rings
-    if total > budget:
-        raise BudgetExceeded(
-            f"search needs {total} pairs, budget is {budget}", required=total)
+    if ctx.field.kind != "Fp":
+        raise InfiniteRing(f"{ctx} has an infinite coefficient field")
+    p, e = ctx.field.p, basis_size(ctx) * 2 * (n * n - 1)
+    # 2^(e(k-1)) <= p^e < 2^(2e(k-1)) for a k-bit p: p^e is over budget once
+    # e(k-1) reaches L = max(64, bits(budget)), and cheap to form before
+    big = e * (p.bit_length() - 1) >= max(64, budget.bit_length())
+    total = None if big else p ** e
+    if total is None or total > budget:
+        raise BudgetExceeded(f"search needs {p}^{int_text(e)} pairs, "
+                             f"budget is {int_text(budget)}", required=total)
     table = RingTable(ctx)
-    found, pairs = _scan_pairs(table, n, target)
+    found = _scan_pairs(table, n, target)
     if found is None:
-        return None, pairs
+        return None
     b, c = (_decode_matrix(table, n, idx) for idx in found)
     if commutator(b, c) != target:
         raise RuntimeError(f"oracle pair {found} does not decompose the target")
-    ntotal = table.q ** (n * n - 1)
-    return FoundWitness(b=b, c=c, pair_index=found[0] * ntotal + found[1],
-                        pairs_checked=pairs), pairs
+    pair_index = found[0] * table.q ** (n * n - 1) + found[1]
+    return FoundWitness(b=b, c=c, pair_index=pair_index, pairs_checked=pair_index + 1)
 
 
 def exhaustive_commutator_search(a: Matrix, budget: int = DEFAULT_PAIR_BUDGET):
@@ -219,7 +198,7 @@ def exhaustive_commutator_search(a: Matrix, budget: int = DEFAULT_PAIR_BUDGET):
     complete scan. Searches the normalized space (last diagonal entries
     zero), which preserves existence exactly.
     """
-    found, _pairs = _run_search(a.ctx, a.n, a, budget)
+    found = _run_search(a.ctx, a.n, a, budget)
     return None if found is None else (found.b, found.c)
 
 
@@ -240,11 +219,11 @@ def exhaustive_noncommutator_check(cert: Certificate, p: int,
     field = Field.prime(p)
     ctx = RingCtx(field, cert.m, 3 * cert.d + 2)
     target = _certificate_matrix(ctx, cert.n, cert.points)
-    found, pairs = _run_search(ctx, cert.n, target, budget)
+    found = _run_search(ctx, cert.n, target, budget)
     if found is not None:
         return found
-    return NoWitness(pairs_checked=pairs, ring_elements=ring_size(ctx),
-                     matrix_size=cert.n, prime=p)
+    return NoWitness(pairs_checked=pair_count(ctx, cert.n),
+                     ring_elements=ring_size(ctx), matrix_size=cert.n, prime=p)
 
 
 def quadric_decomposition_check(p: int, i: int | None = None) -> bool:

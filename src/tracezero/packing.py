@@ -351,12 +351,12 @@ def _swap_improve(adj, full: int, cur: int) -> int:
             return cur
 
 
-def _ils_lower_bound(adj, n: int, deadline, seed: int = 2024):
+def _ils_lower_bound(adj, n: int, deadline):
     """Deterministic iterated local search: randomized greedy fills plus
     (1,2)-swap local optima, perturbed by forcing one vertex in. Iteration
     counts depend only on the graph, so results are reproducible; the
     deadline only truncates oversized runs early."""
-    rng = random.Random(seed)
+    rng = random.Random(2024)
     full = (1 << n) - 1
     order = list(range(n))
     cur = _swap_improve(adj, full, _greedy_fill(adj, 0, order))
@@ -521,6 +521,11 @@ def best_separated_set(m: int, d: int, budget: float | None = None):
     return SeparatedSet(m, d, tuple(points)), optimal
 
 
+def quadratic_applies(m: int, d: int) -> bool:
+    """Whether :func:`quadratic_construction` covers the cell: d >= m - 1."""
+    return d >= m - 1
+
+
 def quadratic_construction(m: int, d: int) -> SeparatedSet:
     """Explicit separated set of size ~m^2/4 for large separation.
 
@@ -532,7 +537,7 @@ def quadratic_construction(m: int, d: int) -> SeparatedSet:
     """
     if m < 1:
         raise PreconditionViolated(f"need m >= 1, got {m}")
-    if d < m - 1:
+    if not quadratic_applies(m, d):
         raise PreconditionViolated(f"construction needs d >= m - 1, got m={m}, d={d}")
     points = corner_points(m, d)
     for j in range(1, m // 2 + 1):

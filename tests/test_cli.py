@@ -189,6 +189,19 @@ def test_oracle_budget_exit(tmp_path, capsys):
     assert code == 3
 
 
+def test_oracle_budget_exit_on_huge_pair_counts(tmp_path, capsys):
+    # 2^51408 pairs (15,476 digits) and 2^233463705930 pairs: the budget
+    # is decided on the exponent, and neither count is formed or printed
+    for m, d, e in ((5, 4, 51408), (12, 11, 233463705930)):
+        cert = tmp_path / f"cert{m}.json"
+        code, _, _ = run(capsys, "certify", "--m", str(m), "--d", str(d), "--n", "2",
+                         "--auto", "--field", "F2", "--out", os.fspath(cert))
+        assert code == 0
+        code, out, err = run(capsys, "oracle", "--cert", os.fspath(cert))
+        assert (code, out) == (3, "")
+        assert f"search needs 2^{e} pairs" in err
+
+
 def test_bound(capsys):
     code, out, _ = run(capsys, "bound", "--m", "5")
     assert code == 0

@@ -117,6 +117,30 @@ def test_flag_basis_inverse():
         g = FlagBasis(F101, rows)
         prod = g.as_matrix(RingCtx(F101, 0, None)) * g.inverse_matrix(RingCtx(F101, 0, None))
         assert prod == Matrix.identity(RingCtx(F101, 0, None), n)
+        # inverse() swaps the rows and their cached inverse
+        assert g.inverse().rows == g._inv_rows and g.inverse().inverse().rows == g.rows
+
+
+def test_nilpotent_witness_inverts_the_flag_once(monkeypatch):
+    # one Gauss-Jordan reduction of [g | I] serves the flag, its inverse,
+    # and the conjugations back
+    from tracezero import matrices
+    from tracezero.witnesses import nilpotent_witness
+
+    inversions = []
+    real_rref = matrices._rref
+
+    def counting_rref(field, rows, ncols):
+        if rows and len(rows[0]) == 2 * ncols:
+            inversions.append(ncols)
+        return real_rref(field, rows, ncols)
+
+    monkeypatch.setattr(matrices, "_rref", counting_rref)
+    ctx = RingCtx(F101, 0, None)
+    a = Matrix.from_rows(ctx, [[1, -1, 2], [1, -1, 3], [0, 0, 0]])
+    pair = nilpotent_witness(a)
+    assert commutator(pair.x, pair.b) == a
+    assert inversions == [3]
 
 
 def test_conjugation_preserves_commutators():

@@ -22,7 +22,13 @@ from tracezero.oracle import (
     pair_count,
     quadric_decomposition_check,
 )
-from tracezero.polynomials import RingCtx, element_encode, enumerate_ring, ring_size
+from tracezero.polynomials import (
+    RingCtx,
+    element_decode,
+    element_encode,
+    enumerate_ring,
+    ring_size,
+)
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
@@ -137,12 +143,10 @@ def reference_first_pair(a):
     return None
 
 
-def test_found_witness_reports_pair_index():
-    # random commutator targets over small rings, and one scalar 3x3 over
-    # F_3 whose first hit, pair (3, 5364), lies beyond column 4096 of its
-    # B row: each matrix row of that pair space holds 3^8 = 6561 matrices
-    from tracezero.oracle import _run_search
-
+def first_hit_targets():
+    """Random commutator targets over small rings, and one scalar 3x3 over
+    F_3 whose first hit, pair (3, 5364), lies beyond column 4096 of its B
+    row: each matrix row of that pair space holds 3^8 = 6561 matrices."""
     targets = []
     rng = random.Random(131)
     for p, nvars, trunc, n, count in [(2, 0, None, 2, 6), (3, 0, None, 2, 6),
@@ -158,13 +162,32 @@ def test_found_witness_reports_pair_index():
     b = Matrix.from_rows(ctx, [[0, 0, 0], [0, 0, 0], [1, 0, 0]])
     c = Matrix.from_rows(ctx, [[2, 1, 1], [0, 2, 2], [1, 0, 0]])
     targets.append(commutator(b, c))
+    return targets
 
-    for target in targets:
+
+def test_found_witness_reports_pair_index():
+    from tracezero.oracle import _run_search
+
+    for target in first_hit_targets():
         want = reference_first_pair(target)
-        found, _ = _run_search(target.ctx, target.n, target, 2**40)
+        found = _run_search(target.ctx, target.n, target, 2**40)
         assert want is not None and found is not None
         assert (found.pair_index, found.b, found.c) == want
+        assert found.pairs_checked == found.pair_index + 1
     assert found.pair_index == 3 * 6561 + 5364
+
+
+def test_found_witness_does_not_depend_on_chunk_size(monkeypatch):
+    # the record of a hit, pairs_checked included, is the same whatever
+    # the number of pairs one chunk of the scan covers
+    from tracezero import oracle
+
+    targets = first_hit_targets()
+    records = []
+    for chunk in (2**10, 2**14, 2**20):
+        monkeypatch.setattr(oracle, "_CHUNK_PAIRS", chunk)
+        records.append([oracle._run_search(t.ctx, t.n, t, 2**40) for t in targets])
+    assert records[0] == records[1] == records[2]
 
 
 def test_invalid_certificate_rejected_before_search():
@@ -245,6 +268,38 @@ def test_budget_guard_precedes_work():
     with pytest.raises(BudgetExceeded) as info:
         exhaustive_noncommutator_check(cert, 2, budget=1000)
     assert info.value.required == 16 ** 6
+
+
+def test_table_cap_precedes_table_build(monkeypatch):
+    # a 1x1 search has a single pair, but its ring of 2^9 elements is past
+    # the table cap; the cap is checked before any element is enumerated
+    from tracezero import oracle
+
+    def no_enumeration(ctx):
+        raise AssertionError("ring enumerated past the table cap")
+
+    monkeypatch.setattr(oracle, "enumerate_ring", no_enumeration)
+    ctx = RingCtx(F2, 8, 2)
+    with pytest.raises(BudgetExceeded) as info:
+        exhaustive_commutator_search(Matrix.zeros(ctx, 1))
+    assert info.value.required == 512
+
+
+def test_table_matches_polynomial_arithmetic():
+    # every table entry is the code of the exact sum, product or difference
+    from tracezero.oracle import RingTable
+
+    for ctx in (RingCtx(F3, 0, None), RingCtx(F2, 2, 3), RingCtx(F3, 1, 3)):
+        table = RingTable(ctx)
+        elems = list(enumerate_ring(ctx))
+        assert len(elems) == table.q
+        for t, e in enumerate(elems):
+            assert element_encode(ctx, table.basis, e) == t
+        for u, a in enumerate(elems):
+            for v, b in enumerate(elems):
+                assert element_decode(ctx, table.basis, int(table.add_t[u, v])) == a + b
+                assert element_decode(ctx, table.basis, int(table.mul_t[u, v])) == a * b
+                assert element_decode(ctx, table.basis, int(table.sub_t[u, v])) == a - b
 
 
 def test_quadric_decomposition():
