@@ -69,57 +69,6 @@ from .witnesses import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Certificate",
-    "ValidationReport",
-    "build_noncommutator",
-    "certificate_from_json",
-    "certificate_to_json",
-    "validate_certificate",
-    "BudgetExceeded",
-    "Error",
-    "MalformedInput",
-    "ValidationFailed",
-    "Field",
-    "Matrix",
-    "commutator",
-    "conjugate",
-    "kernel_basis",
-    "nilpotent_flag",
-    "FoundWitness",
-    "NoWitness",
-    "exhaustive_commutator_search",
-    "exhaustive_noncommutator_check",
-    "quadric_decomposition_check",
-    "SeparatedSet",
-    "SepGraph",
-    "best_separated_set",
-    "build_graph",
-    "constant_weight_bound",
-    "corner_points",
-    "interior_candidates",
-    "is_d_separated",
-    "matrix_size_from_set",
-    "max_independent_set",
-    "normalize_with_corners",
-    "quadratic_construction",
-    "simplex_points",
-    "upper_bounds",
-    "Poly",
-    "RingCtx",
-    "basis_monomials",
-    "enumerate_ring",
-    "poly_from_text",
-    "poly_to_text",
-    "project",
-    "reduce_by_divisor",
-    "ring_size",
-    "Clique",
-    "WitnessPair",
-    "hollow_witness",
-    "nilpotent_witness",
-    "triangular_witness",
-    "verify_clique",
-    "witness_from_json",
-    "witness_to_json",
-]
+# the public API is exactly the classes and functions imported above
+__all__ = [name for name, obj in globals().items()
+           if callable(obj) and not name.startswith("_")]

@@ -21,10 +21,11 @@ from .errors import (
     MalformedInput,
     TooFewPoints,
     ValidationFailed,
+    int_text,
 )
 from .fields import Field
 from .matrices import Matrix
-from .packing import check_simplex_points, int_text, l1_distance, simplex_point_fault
+from .packing import check_simplex_points, l1_distance, simplex_point_fault
 from .polynomials import RingCtx
 
 

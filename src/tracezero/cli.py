@@ -345,15 +345,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceeded as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except ValidationFailed as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_FALSIFIED
     except Error as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        return (EXIT_BUDGET if isinstance(exc, BudgetExceeded)
+                else EXIT_FALSIFIED if isinstance(exc, ValidationFailed)
+                else EXIT_PRECONDITION)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

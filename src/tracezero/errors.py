@@ -1,9 +1,18 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and :func:`int_text`, which
+writes integers into their messages.
 
 Every error raised deliberately by this package derives from :class:`Error`,
 so callers (in particular the CLI) can distinguish precondition violations
 from genuine bugs with a single ``except`` clause.
 """
+
+
+def int_text(k: int) -> str:
+    """``k`` in decimal, or only its size past 64 bits, so that a message
+    about untrusted input never writes out, or fails on, a huge integer."""
+    if k.bit_length() <= 64:
+        return str(k)
+    return f"{'-' if k < 0 else ''}<{k.bit_length()}-bit integer>"
 
 
 class Error(Exception):

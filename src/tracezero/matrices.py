@@ -287,9 +287,7 @@ class FlagBasis:
         return Matrix.from_rows(ctx, [[ctx.constant(v) for v in r] for r in self.rows])
 
     def inverse_matrix(self, ctx: RingCtx) -> Matrix:
-        if ctx.field != self.field:
-            raise FieldMismatch(f"basis over {self.field}, context over {ctx.field}")
-        return Matrix.from_rows(ctx, [[ctx.constant(v) for v in r] for r in self._inv_rows])
+        return self.inverse().as_matrix(ctx)
 
     def __repr__(self):
         return f"FlagBasis({self.rows!r})"

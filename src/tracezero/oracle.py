@@ -7,6 +7,8 @@ by ``element_encode``. ``RingTable`` holds the codes of the ``Poly`` sums,
 products and differences of all pairs of them, for at most 256 elements
 (the build takes about 2 s there), so the scan computes in the package's
 own arithmetic, as q x q lookups numpy applies to whole matrix blocks.
+The table cap and the pair budget are both limits on a power q^k = p^e,
+and one rule decides them on e, before any power that large is formed.
 
 The pair search enumerates matrices B, C with the last diagonal entries
 pinned to zero. That normalization loses nothing: shifting B and C by
@@ -37,10 +39,10 @@ from .errors import (
     InfiniteRing,
     NoSquareRootOfMinusOne,
     ValidationFailed,
+    int_text,
 )
 from .fields import Field
 from .matrices import Matrix, commutator
-from .packing import int_text
 from .polynomials import (
     RingCtx,
     basis_monomials,
@@ -49,7 +51,6 @@ from .polynomials import (
     element_encode,
     enumerate_ring,
     reduce_by_divisor,
-    ring_size,
 )
 
 DEFAULT_PAIR_BUDGET = 2**34
@@ -57,19 +58,30 @@ _CHUNK_PAIRS = 2**17
 _TABLE_CAP = 256
 
 
+def _bounded_power(ctx: RingCtx, k: int, limit: int, noun: str) -> int:
+    """(ring size)^k = p^e, or BudgetExceeded past ``limit``, with
+    ``required`` the count, or None if it was never formed. For a b-bit p,
+    2^(e(b-1)) <= p^e < 2^(eb): p^e is over the limit once e(b-1) reaches
+    max(64, bits(limit)), and cheap to form before."""
+    if ctx.field.kind != "Fp":
+        raise InfiniteRing(f"{ctx} has an infinite coefficient field")
+    p, e = ctx.field.p, basis_size(ctx) * k
+    big = e * (p.bit_length() - 1) >= max(64, limit.bit_length())
+    total = None if big else p ** e
+    if total is None or total > limit:
+        raise BudgetExceeded(f"search needs {p}^{int_text(e)} {noun}, "
+                             f"budget is {int_text(limit)}", required=total)
+    return total
+
+
 class RingTable:
     """Lookup-table arithmetic for one finite ring context: the codes of
     the ``Poly`` sums, products and differences of every pair of elements."""
 
     def __init__(self, ctx: RingCtx):
-        q = ring_size(ctx)  # raises InfiniteRing for infinite rings
-        if q > _TABLE_CAP:
-            raise BudgetExceeded(
-                f"ring has {q} elements; table search caps at {_TABLE_CAP}",
-                required=q)
+        self.q = _bounded_power(ctx, 1, _TABLE_CAP, "table elements")
         self.ctx = ctx
         self.basis = basis_monomials(ctx)
-        self.q = q
         elems = list(enumerate_ring(ctx))
         self.add_t, self.mul_t = (
             np.array([[element_encode(ctx, self.basis, op(u, v)) for v in elems]
@@ -77,11 +89,6 @@ class RingTable:
             for op in (operator.add, operator.mul))
         neg = [element_encode(ctx, self.basis, -u) for u in elems]
         self.sub_t = self.add_t[:, neg]
-
-
-def pair_count(ctx: RingCtx, n: int) -> int:
-    """Size of the normalized search space: (ring size)^(2(n^2 - 1))."""
-    return ring_size(ctx) ** (2 * (n * n - 1))
 
 
 @dataclass(frozen=True)
@@ -169,23 +176,15 @@ def _run_search(ctx: RingCtx, n: int, target: Matrix, budget: int):
     """Scan the whole normalized pair space for [B, C] = target.
 
     Returns a FoundWitness, decoded and re-verified with exact polynomial
-    arithmetic, or None after a complete scan. The budget is checked on
-    the exponent of the pair count p^e, so a huge count is never formed.
+    arithmetic, or a NoWitness after a complete scan. The pair count and
+    the table size are checked against their limits before any work.
     """
-    if ctx.field.kind != "Fp":
-        raise InfiniteRing(f"{ctx} has an infinite coefficient field")
-    p, e = ctx.field.p, basis_size(ctx) * 2 * (n * n - 1)
-    # 2^(e(k-1)) <= p^e < 2^(2e(k-1)) for a k-bit p: p^e is over budget once
-    # e(k-1) reaches L = max(64, bits(budget)), and cheap to form before
-    big = e * (p.bit_length() - 1) >= max(64, budget.bit_length())
-    total = None if big else p ** e
-    if total is None or total > budget:
-        raise BudgetExceeded(f"search needs {p}^{int_text(e)} pairs, "
-                             f"budget is {int_text(budget)}", required=total)
+    total = _bounded_power(ctx, 2 * (n * n - 1), budget, "pairs")
     table = RingTable(ctx)
     found = _scan_pairs(table, n, target)
     if found is None:
-        return None
+        return NoWitness(pairs_checked=total, ring_elements=table.q,
+                         matrix_size=n, prime=ctx.field.p)
     b, c = (_decode_matrix(table, n, idx) for idx in found)
     if commutator(b, c) != target:
         raise RuntimeError(f"oracle pair {found} does not decompose the target")
@@ -199,7 +198,7 @@ def exhaustive_commutator_search(a: Matrix, budget: int = DEFAULT_PAIR_BUDGET):
     zero), which preserves existence exactly.
     """
     found = _run_search(a.ctx, a.n, a, budget)
-    return None if found is None else (found.b, found.c)
+    return (found.b, found.c) if isinstance(found, FoundWitness) else None
 
 
 def exhaustive_noncommutator_check(cert: Certificate, p: int,
@@ -219,11 +218,7 @@ def exhaustive_noncommutator_check(cert: Certificate, p: int,
     field = Field.prime(p)
     ctx = RingCtx(field, cert.m, 3 * cert.d + 2)
     target = _certificate_matrix(ctx, cert.n, cert.points)
-    found = _run_search(ctx, cert.n, target, budget)
-    if found is not None:
-        return found
-    return NoWitness(pairs_checked=pair_count(ctx, cert.n),
-                     ring_elements=ring_size(ctx), matrix_size=cert.n, prime=p)
+    return _run_search(ctx, cert.n, target, budget)
 
 
 def quadric_decomposition_check(p: int, i: int | None = None) -> bool:

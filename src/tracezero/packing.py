@@ -32,6 +32,7 @@ best-found with ``optimal=False``, never to an invalid set.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -45,6 +46,7 @@ from .errors import (
     PreconditionViolated,
     SetTooSmall,
     WrongSimplex,
+    int_text,
 )
 from .polynomials import compositions
 
@@ -72,14 +74,6 @@ def is_d_separated(points, d: int):
             if l1_distance(pts[i], pts[j]) <= d:
                 return False, (i, j)
     return True, None
-
-
-def int_text(k: int) -> str:
-    """``k`` in decimal, or only its size past 64 bits, so that a message
-    about untrusted input never writes out, or fails on, a huge integer."""
-    if k.bit_length() <= 64:
-        return str(k)
-    return f"{'-' if k < 0 else ''}<{k.bit_length()}-bit integer>"
 
 
 def simplex_point_fault(m: int, d: int, p) -> str | None:
@@ -483,8 +477,10 @@ def max_independent_set(g: SepGraph, budget: float | None = None):
     is True only with the lex-least set of maximum size, so a proven
     result is reproducible and partition-independent; if the lex-least
     step runs out of budget, the search's own set comes back with
-    ``optimal=False``.
+    ``optimal=False``. A NaN budget, which no deadline passes, is refused.
     """
+    if budget is not None and math.isnan(budget):
+        raise PreconditionViolated("budget is NaN")
     n = g.vertex_count
     if n == 0:
         return [], True

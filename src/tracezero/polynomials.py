@@ -41,9 +41,14 @@ from .errors import (
     InfiniteRing,
     MalformedInput,
     NonInvertibleLeadingCoefficient,
+    PreconditionViolated,
     TruncationOverflow,
+    int_text,
 )
 from .fields import Field
+
+# every term stores one exponent per variable, about 32 KB at this cap
+MAX_NVARS = 4096
 
 
 def grlex_key(mono: tuple) -> tuple:
@@ -55,7 +60,8 @@ class RingCtx:
 
     ``truncation=N`` means computation happens in k[x_1..x_m]/(x_1..x_m)^N;
     ``truncation=None`` is the full polynomial ring. ``nvars=0`` makes the
-    context the field itself, which keeps matrix code uniform.
+    context the field itself, which keeps matrix code uniform. At most
+    ``MAX_NVARS`` variables.
     """
 
     __slots__ = ("field", "nvars", "truncation")
@@ -63,6 +69,9 @@ class RingCtx:
     def __init__(self, field: Field, nvars: int, truncation: int | None = None):
         if not isinstance(nvars, int) or isinstance(nvars, bool) or nvars < 0:
             raise ValueError(f"nvars must be a nonnegative int, got {nvars!r}")
+        if nvars > MAX_NVARS:
+            raise PreconditionViolated(
+                f"{int_text(nvars)} variables; a ring has at most {MAX_NVARS}")
         if truncation is not None:
             if not isinstance(truncation, int) or isinstance(truncation, bool):
                 raise ValueError("truncation must be an int or None")
@@ -355,19 +364,28 @@ def reduce_by_divisor(p: Poly, g: Poly) -> Poly:
 
 def compositions(total: int, parts: int, cap: int | None = None):
     """Tuples of ``parts`` nonnegative ints summing to ``total``, each at
-    most ``cap``, in descending lexicographic order."""
-    if parts == 0:
-        if total == 0:
-            yield ()
+    most ``cap``, in descending lexicographic order. A loop, so any number
+    of parts works: each step takes one unit from the rightmost entry that
+    can pass one right, and refills the entries after it greedily."""
+    if cap is None:
+        cap = total  # no entry can exceed the total anyway
+    if total < 0 or total > cap * parts:
         return
-    if parts == 1:
-        if cap is None or total <= cap:
-            yield (total,)
-        return
-    hi = total if cap is None else min(total, cap)
-    for first in range(hi, -1, -1):
-        for rest in compositions(total - first, parts - 1, cap):
-            yield (first,) + rest
+    c = [0] * parts
+    i, s = 0, total  # c[i:] gets the greatest composition of s
+    while True:
+        for j in range(i, parts):
+            c[j] = min(s, cap)
+            s -= c[j]
+        yield tuple(c)
+        i, s = parts - 1, 0
+        while i >= 0 and (not c[i] or s >= cap * (parts - 1 - i)):
+            s += c[i]
+            i -= 1
+        if i < 0:
+            return
+        c[i] -= 1
+        i, s = i + 1, s + 1
 
 
 def basis_monomials(ctx: RingCtx) -> list[tuple]:
@@ -477,10 +495,7 @@ def poly_from_text(ctx: RingCtx, text: str) -> Poly:
     pairs = []
     for sign, term in matches:
         coeff = field.one()
-        try:
-            exps = [0] * ctx.nvars
-        except OverflowError:  # more variables than a list can index
-            raise MalformedInput(f"ring with {ctx.nvars} variables") from None
+        exps = [0] * ctx.nvars
         for factor in term.split("*"):
             m = _FACTOR_RE.fullmatch(factor)
             if m:

@@ -81,15 +81,6 @@ class WitnessPair:
         return f"WitnessPair(n={self.target.n}, ctx={self.target.ctx})"
 
 
-def _shift_matrix(ctx: RingCtx, n: int) -> Matrix:
-    """Ones on the superdiagonal, zeros elsewhere."""
-    x = Matrix.zeros(ctx, n)
-    rows = [list(r) for r in x.rows]
-    for i in range(n - 1):
-        rows[i][i + 1] = ctx.one()
-    return Matrix(ctx, rows)
-
-
 def triangular_witness(a: Matrix) -> WitnessPair:
     """Decompose a strictly-bounded upper triangular trace-zero matrix.
 
@@ -116,8 +107,8 @@ def triangular_witness(a: Matrix) -> WitnessPair:
         for j in range(n):
             left = b_rows[i - 1][j - 1] if j >= 1 else zero
             b_rows[i][j] = a.rows[i - 1][j] + left
-    b = Matrix(ctx, b_rows)
-    return WitnessPair(a, _shift_matrix(ctx, n), b)
+    shift = Matrix.from_rows(ctx, [[int(j == i + 1) for j in range(n)] for i in range(n)])
+    return WitnessPair(a, shift, Matrix(ctx, b_rows))
 
 
 def hollow_witness(a: Matrix, clique: Clique) -> WitnessPair:

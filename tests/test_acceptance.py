@@ -331,3 +331,28 @@ def test_upper_bounds_helper():
     # companion sanity for the bound sweep: the closed forms themselves
     assert upper_bounds(3) == (16, 8)
     assert upper_bounds(8) == (4 ** 7, 2 ** 13)
+
+
+def test_public_names():
+    # __all__ is computed from the package's imports; it must list the
+    # same API, in the same order, as the hand-written list it replaced
+    import tracezero
+
+    assert tracezero.__all__ == [
+        "Certificate", "ValidationReport", "build_noncommutator",
+        "certificate_from_json", "certificate_to_json", "validate_certificate",
+        "BudgetExceeded", "Error", "MalformedInput", "ValidationFailed",
+        "Field", "Matrix", "commutator", "conjugate", "kernel_basis",
+        "nilpotent_flag", "FoundWitness", "NoWitness",
+        "exhaustive_commutator_search", "exhaustive_noncommutator_check",
+        "quadric_decomposition_check", "SeparatedSet", "SepGraph",
+        "best_separated_set", "build_graph", "constant_weight_bound",
+        "corner_points", "interior_candidates", "is_d_separated",
+        "matrix_size_from_set", "max_independent_set", "normalize_with_corners",
+        "quadratic_construction", "simplex_points", "upper_bounds", "Poly",
+        "RingCtx", "basis_monomials", "enumerate_ring", "poly_from_text",
+        "poly_to_text", "project", "reduce_by_divisor", "ring_size", "Clique",
+        "WitnessPair", "hollow_witness", "nilpotent_witness",
+        "triangular_witness", "verify_clique", "witness_from_json",
+        "witness_to_json",
+    ]

@@ -416,9 +416,21 @@ def test_malformed_arguments_exit_65(tmp_path, capsys):
     unprintable.write_text(json.dumps({
         "n": 2, "ctx": {"field": {"kind": "Q"}, "nvars": 1},
         "entries": [["0", f"x1^{top}*x1^{top}"], ["0", "0"]]}))
+    # more variables than a ring may have, read from a file and written
+    many_vars = tmp_path / "nvars.json"
+    many_vars.write_text(json.dumps({
+        "n": 1, "ctx": {"field": {"kind": "Q"}, "nvars": 10 ** 9}, "entries": [["1"]]}))
+    units = tmp_path / "units.json"
+    units.write_text(json.dumps([[int(i == j) for j in range(5000)] for i in range(3)]))
     certify = ["certify", "--m", "3", "--d", "0", "--n", "2"]
     cases = [
         [*certify, "--set", os.fspath(not_points)],
+        ["certify", "--m", "5000", "--d", "0", "--n", "2", "--set", os.fspath(units)],
+        ["witness", "--mode", "triangular", "--matrix", os.fspath(many_vars)],
+        # a NaN budget would never run out
+        ["pack", "--m", "7", "--d", "3", "--budget", "nan"],
+        ["tables", "--max-m", "4", "--max-d", "1", "--budget", "nan"],
+        [*certify, "--auto", "--budget", "nan"],
         [*certify, "--auto", "--field", "F²"],  # a digit int() rejects
         ["verify-cert", os.fspath(not_utf8)],
         ["witness", "--mode", "hollow", "--matrix", os.fspath(hollow),

@@ -18,8 +18,8 @@ from tracezero.oracle import (
     FoundWitness,
     NoWitness,
     exhaustive_commutator_search,
+    _bounded_power,
     exhaustive_noncommutator_check,
-    pair_count,
     quadric_decomposition_check,
 )
 from tracezero.polynomials import (
@@ -93,12 +93,13 @@ def test_every_scalar_trace_zero_2x2_is_a_commutator():
 
 
 def test_pair_count_accounting():
+    # (ring size)^(2(n^2 - 1)) pairs for n x n matrices
     ctx = RingCtx(F2, 3, 2)
     assert ring_size(ctx) == 16
-    assert pair_count(ctx, 2) == 16 ** 6
+    assert _bounded_power(ctx, 6, 2**64, "pairs") == 16 ** 6
     ctx3 = RingCtx(F3, 0, None)
-    assert pair_count(ctx3, 2) == 3 ** 6
-    assert pair_count(ctx3, 3) == 3 ** 16
+    assert _bounded_power(ctx3, 6, 2**64, "pairs") == 3 ** 6
+    assert _bounded_power(ctx3, 16, 2**64, "pairs") == 3 ** 16
 
 
 def test_d0_certificate_no_witness():
@@ -283,6 +284,16 @@ def test_table_cap_precedes_table_build(monkeypatch):
     with pytest.raises(BudgetExceeded) as info:
         exhaustive_commutator_search(Matrix.zeros(ctx, 1))
     assert info.value.required == 512
+
+
+def test_table_cap_on_a_huge_ring_forms_no_power():
+    # 2^C(46,12) elements, a 4.7 GB integer: the cap is decided on the
+    # exponent, so the search fails fast and reports no required count
+    ctx = RingCtx(F2, 12, 35)
+    with pytest.raises(BudgetExceeded) as info:
+        exhaustive_commutator_search(Matrix.zeros(ctx, 1))
+    assert info.value.required is None
+    assert "search needs 2^38910617655 table elements" in str(info.value)
 
 
 def test_table_matches_polynomial_arithmetic():

@@ -21,6 +21,7 @@ import pytest
 import tracezero
 from tracezero.errors import (
     NotSeparated,
+    PreconditionViolated,
     SetTooSmall,
     WrongSimplex,
 )
@@ -70,6 +71,13 @@ def test_simplex_point_counts():
             assert len(pts) == math.comb(r + m - 1, m - 1)
             assert len(set(pts)) == len(pts)
             assert all(sum(p) == r and len(p) == m for p in pts)
+
+
+def test_simplex_points_past_the_recursion_limit():
+    # one loop step per tuple, however many coordinates there are
+    units = simplex_points(1200, 1)
+    assert units == [tuple(int(i == j) for j in range(1200)) for i in range(1200)]
+    assert simplex_points(1200, 0) == [(0,) * 1200]
 
 
 def test_l1_distance_and_separation():
@@ -298,6 +306,12 @@ def test_budget_exhaustion_reports_not_optimal():
     # whatever came back must still be independent
     for a, b in itertools.combinations(idx, 2):
         assert not g.adjacency[a] >> b & 1
+
+
+def test_nan_budget_is_refused():
+    # no deadline would ever pass a NaN one, so the search would never stop
+    with pytest.raises(PreconditionViolated):
+        max_independent_set(build_graph(7, 3), float("nan"))
 
 
 def test_lex_least_step_out_of_budget_reports_not_optimal(monkeypatch):

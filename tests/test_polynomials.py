@@ -17,10 +17,12 @@ from tracezero.errors import (
     ContextMismatch,
     InfiniteRing,
     MalformedInput,
+    PreconditionViolated,
     TruncationOverflow,
 )
 from tracezero.fields import Field
 from tracezero.polynomials import (
+    MAX_NVARS,
     Poly,
     RingCtx,
     basis_monomials,
@@ -197,6 +199,14 @@ def test_infinite_ring_errors():
         ring_size(RingCtx(F5, 2, None))
 
 
+def test_variable_count_is_capped():
+    # every term stores one exponent per variable, so the count is bounded
+    assert poly_to_text(poly_from_text(RingCtx(F2, MAX_NVARS, 2), f"x{MAX_NVARS}")) \
+        == f"1*x{MAX_NVARS}"
+    with pytest.raises(PreconditionViolated):
+        RingCtx(F2, MAX_NVARS + 1, 2)
+
+
 def test_text_round_trip():
     rng = random.Random(3)
     for ctx in (RingCtx(Q, 3, None), RingCtx(F5, 2, 4)):
@@ -238,8 +248,10 @@ def test_text_rejects_malformed():
     with pytest.raises(MalformedInput):  # sum of two like JSON terms
         poly_from_json(ctx, {"nvars": 2, "terms": [
             {"coeff": top, "exps": [0, 0]}, {"coeff": top, "exps": [0, 0]}]})
-    with pytest.raises(MalformedInput):  # no list holds 2^63 exponents
-        poly_from_text(RingCtx(Q, 2 ** 63, None), "1")
+    with pytest.raises(PreconditionViolated):  # no list holds 2^63 exponents
+        RingCtx(Q, 2 ** 63, None)
+    with pytest.raises(MalformedInput):
+        RingCtx.from_json({"field": {"kind": "Q"}, "nvars": 2 ** 63})
     small = RingCtx(F2, 1, 2)
     with pytest.raises(MalformedInput):
         poly_from_text(small, "1*x1^5")
