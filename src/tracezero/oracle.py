@@ -2,33 +2,40 @@
 finite truncated rings, and the explicit rank-2 decomposition over the
 quadric coordinate ring.
 
-A finite context F_p[x_1..x_m]/(x_1..x_m)^N has q = p^B elements, coded
-by ``element_encode``. ``RingTable`` holds the codes of the ``Poly`` sums,
-products and differences of all pairs of them, for at most 256 elements
-(the build takes about 2 s there), so the scan computes in the package's
-own arithmetic, as q x q lookups numpy applies to whole matrix blocks.
-The table cap and the pair budget are both limits on a power q^k = p^e,
-and one rule decides them on e, before any power that large is formed.
+A finite context F_p[x_1..x_m]/(x_1..x_m)^N has q = p^D elements, coded
+by ``element_encode``: the coefficient on basis monomial r is base-p
+digit r of the code, the constant digit least significant. ``RingTable``
+holds, for at most 256 elements, the D x D matrix over F_p of
+multiplication by each one, built from ``Poly`` products, so the search
+computes in the package's own arithmetic. The table cap and the pair
+budget are both limits on a power q^k = p^e, and one rule decides them on
+e, before any power that large is formed.
 
-The pair search enumerates matrices B, C with the last diagonal entries
+The search space is every pair B, C with the last diagonal entries
 pinned to zero. That normalization loses nothing: shifting B and C by
 scalar matrices changes neither the commutator nor existence, so a
-completed scan that finds nothing is a proof for the given ring. Matrices
+search that rules out every pair is a proof for the given ring. Matrices
 are ordered entry-row-major with the (1,1) digit most significant, pairs
 B-major; a reported witness is the first pair in that order.
 
-The scan is one sequential pass in that order. A block of matrices is an
-n x n nest of code arrays; C is decoded whole once, and each chunk of B
-matrices meets all of it. The (1,1) commutator entry is matched on the
-chunk-by-C grid first, and only its survivors go through the other
-entries. A hit ends the scan, which reports its index plus one as pairs
-checked; it is decoded with the same tables and re-verified with exact
-polynomial arithmetic.
+C is solved for, not scanned. For fixed B, C -> [B, C] is F_p-linear, so
+the C with [B, C] = target are the solutions of one F_p system whose
+unknowns are the digits of the free C entries. B is walked in order, in
+blocks that grow from a few matrices up to ``_CHUNK_MATRICES``; each
+block's systems are built from the multiplication matrices and reduced
+in one batched Gauss-Jordan elimination mod p in numpy. The first
+consistent system gives the first B. Its columns are ordered least
+significant digit first, so a pivot digit depends only on free digits
+more significant than itself, and setting every free digit to 0 gives
+the lex-least C, which is that B's first C in the enumeration. The hit is
+reported with its pair index plus one as pairs checked, decoded, and
+re-verified with exact polynomial arithmetic; no hit means all
+q^(2(n^2-1)) pairs are ruled out. A pair scan kept with the tests is the
+independent reference the solver is checked against.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +61,7 @@ from .polynomials import (
 )
 
 DEFAULT_PAIR_BUDGET = 2**34
-_CHUNK_PAIRS = 2**17
+_CHUNK_MATRICES = 2**9
 _TABLE_CAP = 256
 
 
@@ -75,25 +82,33 @@ def _bounded_power(ctx: RingCtx, k: int, limit: int, noun: str) -> int:
 
 
 class RingTable:
-    """Lookup-table arithmetic for one finite ring context: the codes of
-    the ``Poly`` sums, products and differences of every pair of elements."""
+    """Multiplication matrices of one finite ring context: ``mul[u]`` is
+    the matrix over F_p of multiplication by the element with code u, on
+    coefficient vectors in ``element_encode`` digit order, built from the
+    ``Poly`` products of every element with every basis monomial."""
 
     def __init__(self, ctx: RingCtx):
         self.q = _bounded_power(ctx, 1, _TABLE_CAP, "table elements")
         self.ctx = ctx
         self.basis = basis_monomials(ctx)
-        elems = list(enumerate_ring(ctx))
-        self.add_t, self.mul_t = (
-            np.array([[element_encode(ctx, self.basis, op(u, v)) for v in elems]
-                      for u in elems], dtype=np.int32)
-            for op in (operator.add, operator.mul))
-        neg = [element_encode(ctx, self.basis, -u) for u in elems]
-        self.sub_t = self.add_t[:, neg]
+        p, dim = ctx.field.p, len(self.basis)
+        units = [element_decode(ctx, self.basis, p ** r) for r in range(dim)]
+        codes = [[element_encode(ctx, self.basis, u * e) for e in units]
+                 for u in enumerate_ring(ctx)]
+        # row r, column s of mul[u]: digit r of the code of u * (basis monomial s)
+        self.mul = _digits(codes, p, dim).transpose(0, 2, 1)
+
+
+def _digits(codes, p: int, dim: int) -> np.ndarray:
+    """The ``dim`` base-p digits of element codes, the constant digit
+    first, along a new last axis."""
+    return np.asarray(codes, dtype=np.int64)[..., None] // p ** np.arange(dim) % p
 
 
 @dataclass(frozen=True)
 class NoWitness:
-    """Proof record: the full normalized pair space was scanned."""
+    """Proof record: no pair of the full normalized pair space decomposes
+    the target."""
     pairs_checked: int
     ring_elements: int
     matrix_size: int
@@ -120,48 +135,96 @@ def _matrices(lo: int, hi: int, q: int, n: int) -> list[list[np.ndarray]]:
     return [codes[i * n:(i + 1) * n] for i in range(n)]
 
 
-def _commutator_entry(table: RingTable, b, c, bsel, csel, i: int, j: int):
-    """Codes of [B, C]_(i,j) = sum_t B[i,t] C[t,j] - C[i,t] B[t,j], with
-    every B entry array indexed by ``bsel`` and every C one by ``csel``;
-    the results broadcast."""
-    mul_t, add_t, sub_t = table.mul_t, table.add_t, table.sub_t
-    n = len(b)
-    acc = None
-    for t in range(n):
-        if i == j == t and n > 1:
-            continue  # cancels identically; a 1 x 1 keeps it as its zero
-        term = sub_t[mul_t[b[i][t][bsel], c[t][j][csel]],
-                     mul_t[c[i][t][csel], b[t][j][bsel]]]
-        acc = term if acc is None else add_t[acc, term]
-    return acc
+def _systems(table: RingTable, b, rhs: np.ndarray) -> np.ndarray:
+    """Augmented F_p systems ad_B(C) = target, one per B of the block
+    ``b``, laid out as (column, system, row) with the right-hand side as
+    the last column.
 
-
-def _scan_pairs(table: RingTable, n: int, target: Matrix):
-    """Scan the normalized pair space in order, B-major.
-
-    Returns the first (b, c) index pair whose commutator is the target, or
-    None. Each chunk of B matrices meets all of C; the nonzero positions
-    and the filters keep row-major order, so the first survivor of a chunk
-    is its first pair in enumeration order.
+    Row block (i,j) is sum_t L[B[i,t]] c[t,j] - L[B[t,j]] c[i,t], with L
+    the multiplication matrices. The unknowns are the digits of the free
+    C entries, least significant first: the last free entry first, and
+    within an entry the constant digit first. So column c carries weight
+    p^c in the index of C.
     """
-    q = table.q
+    p, n, size = table.ctx.field.p, len(b), len(b[0][0])
+    dtype = np.min_scalar_type(-p * p)
+    mul = table.mul.transpose(0, 2, 1).astype(dtype)  # [u, input digit, output digit]
+    dim, k = mul.shape[1], n * n - 1
+    aug = np.zeros((k * dim + 1, size, n * n * dim), dtype=dtype)
+    blocks = aug[:-1].reshape(k, dim, size, n * n, dim)
+    for i in range(n):
+        for j in range(n):
+            for t in range(n):
+                # C entry (r, s) is column block k-1-(rn+s); the pinned corner has none
+                if t * n + j < k:
+                    blocks[k - 1 - (t * n + j), :, :, i * n + j] += mul[b[i][t]].transpose(1, 0, 2)
+                if i * n + t < k:
+                    blocks[k - 1 - (i * n + t), :, :, i * n + j] -= mul[b[t][j]].transpose(1, 0, 2)
+    aug[-1] = rhs
+    aug %= p
+    return aug
+
+
+def _solve(aug: np.ndarray, p: int):
+    """Gauss-Jordan elimination mod p of a batch of augmented systems laid
+    out as (column, system, row), pivoting column by column from the left.
+
+    Returns (ok, x): ok[s] tells whether system s is consistent, and
+    x[c, s] is unknown c of its solution with every free unknown 0. A
+    pivot row has zeros left of its pivot and at every other pivot column,
+    so each pivot unknown depends only on free unknowns right of it; with
+    the columns ordered least significant first, setting the free unknowns
+    to 0 from the most significant down gives the least solution in that
+    digit order. The dtype of ``aug`` must hold -p^2.
+    """
+    inv = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=aug.dtype)
+    low = (p - 1) ** 2  # a - f * row lies in [-low, p - 1]; residue[v + low] is v mod p
+    residue = (np.arange(-low, p) % p).astype(aug.dtype)
+    ncols, nsys, nrows = aug.shape[0] - 1, aug.shape[1], aug.shape[2]
+    every = np.arange(nsys)
+    open_row = np.ones((nsys, nrows), dtype=bool)
+    pivot_row = np.full((ncols, nsys), -1)
+    for c in range(ncols):
+        cand = open_row & (aug[c] != 0)
+        has = cand.any(axis=1)
+        r = cand.argmax(axis=1)
+        old = aug[c:, every, r]
+        row = old * (inv[old[0]] * has) % p  # zero where no pivot: no change
+        factor = aug[c].copy()
+        factor[every, r] = 0
+        rest = aug[c:]
+        rest -= row[:, :, None] * factor
+        rest += low
+        np.take(residue, rest, out=rest)
+        aug[c:, every, r] = np.where(has, row, old)
+        open_row[every, r] &= ~has
+        pivot_row[c] = np.where(has, r, -1)
+    ok = ~(open_row & (aug[-1] != 0)).any(axis=1)
+    x = np.take_along_axis(aug[-1], pivot_row.T.clip(0), axis=1).T
+    return ok, np.where(pivot_row >= 0, x, 0)
+
+
+def _first_pair(table: RingTable, n: int, target: Matrix):
+    """The first (b, c) index pair of the normalized pair space whose
+    commutator is the target, or None.
+
+    B is walked in enumeration order, in blocks that grow from a few
+    matrices up to ``_CHUNK_MATRICES``; each block's systems are solved in
+    one batch. The first consistent system is the first B with a partner,
+    and its least solution is that B's first C.
+    """
+    ctx, q, p = table.ctx, table.q, table.ctx.field.p
     ntotal = q ** (n * n - 1)
-    want = [[element_encode(table.ctx, table.basis, e) for e in row]
-            for row in target.rows]
-    rest = [(i, j) for i in range(n) for j in range(n)][1:]
-    c = _matrices(0, ntotal, q, n)
-    step = max(1, _CHUNK_PAIRS // ntotal)
-    for lo in range(0, ntotal, step):
-        b = _matrices(lo, min(lo + step, ntotal), q, n)
-        grid = _commutator_entry(table, b, c, np.s_[:, None], np.s_[None, :], 0, 0)
-        sb, sc = np.nonzero(grid == want[0][0])
-        for i, j in rest:
-            if not sb.size:
-                break
-            keep = _commutator_entry(table, b, c, sb, sc, i, j) == want[i][j]
-            sb, sc = sb[keep], sc[keep]
-        if sb.size:
-            return lo + int(sb[0]), int(sc[0])
+    rhs = _digits([element_encode(ctx, table.basis, e) for row in target.rows for e in row],
+                  p, len(table.basis)).ravel()
+    lo, step = 0, 16  # small first blocks keep an early hit cheap
+    while lo < ntotal:
+        hi = min(lo + min(step, _CHUNK_MATRICES), ntotal)
+        ok, x = _solve(_systems(table, _matrices(lo, hi, q, n), rhs), p)
+        if ok.any():
+            s = int(ok.argmax())
+            return lo + s, sum(int(v) * p ** c for c, v in enumerate(x[:, s]))
+        lo, step = hi, 4 * step
     return None
 
 
@@ -173,15 +236,15 @@ def _decode_matrix(table: RingTable, n: int, idx: int) -> Matrix:
 
 
 def _run_search(ctx: RingCtx, n: int, target: Matrix, budget: int):
-    """Scan the whole normalized pair space for [B, C] = target.
+    """Settle [B, C] = target over the whole normalized pair space.
 
     Returns a FoundWitness, decoded and re-verified with exact polynomial
-    arithmetic, or a NoWitness after a complete scan. The pair count and
-    the table size are checked against their limits before any work.
+    arithmetic, or a NoWitness once every B is ruled out. The pair count
+    and the table size are checked against their limits before any work.
     """
     total = _bounded_power(ctx, 2 * (n * n - 1), budget, "pairs")
     table = RingTable(ctx)
-    found = _scan_pairs(table, n, target)
+    found = _first_pair(table, n, target)
     if found is None:
         return NoWitness(pairs_checked=total, ring_elements=table.q,
                          matrix_size=n, prime=ctx.field.p)
@@ -193,9 +256,9 @@ def _run_search(ctx: RingCtx, n: int, target: Matrix, budget: int):
 
 
 def exhaustive_commutator_search(a: Matrix, budget: int = DEFAULT_PAIR_BUDGET):
-    """First (B, C) in enumeration order with [B, C] = a, or None after a
-    complete scan. Searches the normalized space (last diagonal entries
-    zero), which preserves existence exactly.
+    """First (B, C) in enumeration order with [B, C] = a, or None once
+    every pair is ruled out. Searches the normalized space (last diagonal
+    entries zero), which preserves existence exactly.
     """
     found = _run_search(a.ctx, a.n, a, budget)
     return (found.b, found.c) if isinstance(found, FoundWitness) else None
@@ -203,7 +266,7 @@ def exhaustive_commutator_search(a: Matrix, budget: int = DEFAULT_PAIR_BUDGET):
 
 def exhaustive_noncommutator_check(cert: Certificate, p: int,
                                    budget: int = DEFAULT_PAIR_BUDGET):
-    """Check a certificate the hard way over F_p: scan every normalized
+    """Check a certificate the hard way over F_p: search every normalized
     pair in F_p[x_1..x_m]/(x_1..x_m)^(3d+2) for a decomposition of the
     certificate matrix.
 

@@ -48,7 +48,15 @@ from .errors import (
     WrongSimplex,
     int_text,
 )
-from .polynomials import compositions
+from .polynomials import MAX_NVARS, compositions
+
+
+def _check_coordinates(m: int) -> None:
+    """A point has one coordinate per variable of the certificate's ring,
+    so m has the same cap as a ring's variable count."""
+    if m > MAX_NVARS:
+        raise PreconditionViolated(
+            f"{int_text(m)} coordinates; a point has at most {MAX_NVARS}")
 
 
 def simplex_points(m: int, r: int) -> list[tuple]:
@@ -56,6 +64,7 @@ def simplex_points(m: int, r: int) -> list[tuple]:
     sum r, descending lex order."""
     if m < 1 or r < 0:
         raise PreconditionViolated(f"need m >= 1 and r >= 0, got m={m}, r={r}")
+    _check_coordinates(m)
     return list(compositions(r, m))
 
 
@@ -106,6 +115,7 @@ def check_simplex_points(m: int, d: int, points) -> None:
 
 def corner_points(m: int, d: int) -> list[tuple]:
     """The m scaled corners (2d+1) e_i, in coordinate order."""
+    _check_coordinates(m)
     r = 2 * d + 1
     return [tuple(r if j == i else 0 for j in range(m)) for i in range(m)]
 
@@ -511,6 +521,7 @@ def best_separated_set(m: int, d: int, budget: float | None = None):
     Returns (SeparatedSet, optimal). d = 0 degenerates to the m unit
     vectors: the interior is empty and the corners alone are the answer.
     """
+    _check_coordinates(m)
     g = build_graph(m, d)
     indices, optimal = max_independent_set(g, budget)
     points = corner_points(m, d) + [g.vertices[i] for i in indices]

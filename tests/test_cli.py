@@ -223,6 +223,13 @@ def test_pack_rejects_m_zero(capsys):
     assert "PreconditionViolated" in err
 
 
+def test_pack_rejects_m_past_the_variable_cap(capsys):
+    # m coordinates per point: the m corners alone would take O(m^2) memory
+    code, out, err = run(capsys, "pack", "--m", "30000", "--d", "0")
+    assert code == 65 and out == ""
+    assert "PreconditionViolated" in err and "at most 4096" in err
+
+
 def test_bound_rejects_unprintable_m(capsys):
     # 4^9999 has 6020 decimal digits, past Python's int-to-str limit
     code, out, err = run(capsys, "bound", "--m", "10000")

@@ -123,6 +123,18 @@ def test_corner_points():
     assert list(corner_points(2, 2)) == [(5, 0), (0, 5)]
 
 
+def test_coordinate_count_is_capped_like_a_ring():
+    # one coordinate per ring variable: past MAX_NVARS every builder
+    # refuses before it forms a point
+    from tracezero.polynomials import MAX_NVARS
+
+    assert len(corner_points(MAX_NVARS, 0)) == MAX_NVARS
+    for build in (lambda m: corner_points(m, 0), lambda m: simplex_points(m, 1),
+                  lambda m: best_separated_set(m, 1)):
+        with pytest.raises(PreconditionViolated, match="at most 4096"):
+            build(MAX_NVARS + 1)
+
+
 def test_normalize_with_corners_cases():
     # already has all corners: unchanged
     pts = ((3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1))
