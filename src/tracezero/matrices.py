@@ -5,9 +5,13 @@ one row reduction, :func:`_rref`; the flag keeps the pivot columns of the
 stacked kernel bases of the matrix's powers.
 
 Matrix entries are :class:`~tracezero.polynomials.Poly` values sharing one
-context. Division never happens at the matrix level; operations that need
-it (kernels, inverses, flags) require constant entries and work on the
-underlying field scalars.
+context. Products and :func:`commutator` share one kernel,
+:func:`_product_sum`: it walks only the nonzero entries of each row,
+sums every term product of an output entry into one accumulator of the
+polynomial product kernel, and normalises the entry once. The flag's
+powers ``a^k`` are matrix products too. Division never happens at the
+matrix level; operations that need it (kernels, inverses, flags) require
+constant entries and work on the underlying field scalars.
 """
 
 from __future__ import annotations
@@ -20,9 +24,19 @@ from .errors import (
     NotNilpotent,
     ShapeMismatch,
     SingularBasis,
+    int_text,
 )
 from .fields import Field
-from .polynomials import Poly, RingCtx, poly_from_json, poly_from_text, poly_to_text
+from .polynomials import (
+    Poly,
+    RingCtx,
+    _add_products,
+    _normalise,
+    _term_list,
+    poly_from_json,
+    poly_from_text,
+    poly_to_text,
+)
 
 
 class Matrix:
@@ -99,20 +113,7 @@ class Matrix:
 
     def __mul__(self, other):
         self._check_compatible(other)
-        n = self.n
-        cols = [[other.rows[k][j] for k in range(n)] for j in range(n)]
-        out = []
-        for i in range(n):
-            row_i = self.rows[i]
-            out_row = []
-            for j in range(n):
-                acc = self.ctx.zero()
-                for a, b in zip(row_i, cols[j]):
-                    if a.terms and b.terms:
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return Matrix(self.ctx, out)
+        return _product_sum(self.ctx, [(False, _sparse_rows(self), _sparse_rows(other))])
 
     def scale(self, c) -> Matrix:
         return Matrix(self.ctx, [[e.scale(c) for e in r] for r in self.rows])
@@ -168,8 +169,10 @@ class Matrix:
         if not isinstance(entries, list):
             raise MalformedInput(f"matrix entries must be a list, got {entries!r}")
         n = obj.get("n", len(entries))
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise MalformedInput("matrix size n must be a positive int")
         if len(entries) != n:
-            raise MalformedInput(f"matrix body does not match n={n}")
+            raise MalformedInput(f"matrix body does not match n={int_text(n)}")
         rows = []
         for r in entries:
             if not isinstance(r, list) or len(r) != n:
@@ -189,8 +192,33 @@ class Matrix:
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
-    """[a, b] = a b - b a."""
-    return a * b - b * a
+    """[a, b] = a b - b a, in one pass: each entry sums the term products
+    of both halves before it is normalised."""
+    a._check_compatible(b)
+    ra, rb = _sparse_rows(a), _sparse_rows(b)
+    return _product_sum(a.ctx, [(False, ra, rb), (True, rb, ra)])
+
+
+def _sparse_rows(a: Matrix) -> list[list]:
+    """Per row, ``(column, term list)`` of each nonzero entry."""
+    return [[(k, _term_list(e.terms)) for k, e in enumerate(r) if e.terms]
+            for r in a.rows]
+
+
+def _product_sum(ctx: RingCtx, products) -> Matrix:
+    """The sum of the matrix products ``x y``, subtracted where ``negate``
+    is set, over ``(negate, x, y)`` in ``products``; x and y come as
+    :func:`_sparse_rows`. Entry (i, j) accumulates every term product
+    of row i of x against column j of y in one dict, then normalises."""
+    field, truncation = ctx.field, ctx.truncation
+    n = len(products[0][1])
+    accs = [[{} for _ in range(n)] for _ in range(n)]
+    for negate, x, y in products:
+        for acc_row, x_row in zip(accs, x):
+            for k, tx in x_row:
+                for j, ty in y[k]:
+                    _add_products(acc_row[j], tx, ty, truncation, negate)
+    return Matrix(ctx, [[Poly(ctx, _normalise(field, acc)) for acc in r] for r in accs])
 
 
 # -- exact linear algebra over the coefficient field ------------------------
@@ -318,17 +346,16 @@ def nilpotent_flag(a: Matrix) -> FlagBasis:
     exactly strict triangularity.
     """
     field = a.ctx.field
-    F = a.constant_rows()
     n = a.n
 
     candidates: list[list] = []
-    power = F
+    power = a
     for _ in range(n):
-        kernel = _kernel(field, power, n)
+        kernel = _kernel(field, power.constant_rows(), n)
         candidates.extend(kernel)
         if len(kernel) == n:
             break
-        power = _field_matmul(field, power, F)
+        power = power * a
     else:
         raise NotNilpotent(f"a^{n} != 0 for the {n}x{n} input")
     stacked = [[v[i] for v in candidates] for i in range(n)]
@@ -342,16 +369,3 @@ def nilpotent_flag(a: Matrix) -> FlagBasis:
         raise NotNilpotent("flag conjugation did not triangularize the input")
     return g
 
-
-def _field_matmul(field: Field, a: list[list], b: list[list]) -> list[list]:
-    n = len(a)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = field.zero()
-            for k in range(n):
-                acc = field.add(acc, field.mul(a[i][k], b[k][j]))
-            row.append(acc)
-        out.append(row)
-    return out

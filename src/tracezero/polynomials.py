@@ -32,8 +32,10 @@ this grammar.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import sys
+from fractions import Fraction
 
 from .errors import (
     ContextMismatch,
@@ -245,22 +247,10 @@ class Poly:
 
     def __mul__(self, other):
         other = self._coerce_other(other)
-        field = self.ctx.field
-        N = self.ctx.truncation
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            d1 = sum(m1)
-            for m2, c2 in other.terms.items():
-                if N is not None and d1 + sum(m2) >= N:
-                    continue
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                prod = field.mul(c1, c2)
-                s = field.add(out.get(mono, field.zero()), prod)
-                if field.is_zero(s):
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
-        return Poly(self.ctx, out)
+        acc: dict = {}
+        _add_products(acc, _term_list(self.terms), _term_list(other.terms),
+                      self.ctx.truncation)
+        return Poly(self.ctx, _normalise(self.ctx.field, acc))
 
     __rmul__ = __mul__
 
@@ -295,6 +285,53 @@ class Poly:
 
     def __repr__(self):
         return poly_to_text(self)
+
+
+# -- the product kernel ------------------------------------------------------
+#
+# Every exact product, of polynomials here and of matrices in matrices.py,
+# sums its term products into one accumulator dict whose values are
+# unreduced [numerator, denominator] pairs of ints, and normalises each sum
+# once at the end. Ints and Fractions both expose .numerator and
+# .denominator, so the one loop serves Q and F_p alike; over F_p every
+# denominator is 1.
+
+
+def _term_list(terms: dict) -> list[tuple]:
+    """``(monomial, degree, numerator, denominator)`` of each term."""
+    return [(m, sum(m), c.numerator, c.denominator) for m, c in terms.items()]
+
+
+def _add_products(acc: dict, a: list, b: list, truncation: int | None,
+                  negate: bool = False):
+    """Add (or, with ``negate``, subtract) every term product of the term
+    lists ``a`` and ``b`` of degree below ``truncation`` into ``acc``."""
+    top = math.inf if truncation is None else truncation
+    for m1, d1, n1, q1 in a:
+        if negate:
+            n1 = -n1
+        for m2, d2, n2, q2 in b:
+            if d1 + d2 >= top:
+                continue
+            mono = tuple(map(operator.add, m1, m2))
+            q = q1 * q2
+            s = acc.get(mono)
+            if s is None:
+                acc[mono] = [n1 * n2, q]
+            elif s[1] == q:
+                s[0] += n1 * n2
+            else:
+                s[0] = s[0] * q + n1 * n2 * s[1]
+                s[1] *= q
+
+
+def _normalise(field: Field, acc: dict) -> dict:
+    """The canonical term dict of an accumulator: each sum as a Fraction in
+    lowest terms over Q, as a residue in [0, p) over F_p; zeros dropped."""
+    if field.kind == "Q":
+        return {m: Fraction(n, q) for m, (n, q) in acc.items() if n}
+    p = field.p
+    return {m: r for m, (n, _) in acc.items() if (r := n % p)}
 
 
 def project(p: Poly, target: RingCtx) -> Poly:

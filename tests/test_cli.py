@@ -394,6 +394,17 @@ def test_witness_verify_rejects_oversized_int(tmp_path, capsys):
     assert "MalformedInput" in err
 
 
+@pytest.mark.parametrize("size", ['"n":0,', '"n":false,', ''])
+def test_witness_verify_rejects_empty_matrices(tmp_path, capsys, size):
+    # Matrix.from_rows refuses an empty matrix; so must the JSON reader
+    mat = '{%s"ctx":{"field":{"kind":"Q"},"nvars":0},"entries":[]}' % size
+    w = tmp_path / "w.json"
+    w.write_text('{"target":%s,"X":%s,"B":%s}' % (mat, mat, mat))
+    code, out, err = run(capsys, "witness", "--verify", os.fspath(w))
+    assert code == 65 and out == ""
+    assert "MalformedInput" in err
+
+
 def test_certify_set_rejects_oversized_int(tmp_path, capsys):
     pts = tmp_path / "pts.json"
     pts.write_text("[[%s,0,0],[0,1,0],[0,0,1]]" % HUGE)
